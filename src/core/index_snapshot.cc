@@ -220,6 +220,13 @@ FragmentIndexBuild IndexSnapshot::MergedBuild() const {
 }
 
 TermPlan IndexSnapshot::GatherTerm(std::string_view token) const {
+  if (segments_.size() == 1) {
+    // One segment: its own by-fragment span already addresses the live
+    // catalog, so the plan borrows it with nothing to merge.
+    const InvertedFragmentIndex& index = segments_[0]->index();
+    util::TermId term = index.FindTerm(token);
+    return {index.IdfId(term), index.PostingsByFragment(term)};
+  }
   TermPlan plan;
   GatherScratch& scratch = g_gather;
   scratch.spans.clear();
@@ -285,22 +292,20 @@ std::vector<SearchResult> IndexSnapshot::Search(
     const std::vector<std::string>& keywords, int k,
     std::uint64_t min_page_words, std::size_t max_seeds,
     SearchDeadline* deadline) const {
-  // The searcher only binds references into this snapshot, so constructing
+  // Reclaim this thread's gather buffers first — any spans handed to a
+  // previous Search on this thread are dead once that call returned. Every
+  // token then resolves through GatherTerm, so single- and multi-segment
+  // snapshots run the identical best-first walk over the live view. The
+  // searcher only binds references into this snapshot, so constructing
   // one per call is free and needs no synchronization.
-  if (segments_.size() == 1) {
-    TopKSearcher searcher(segments_[0]->index(), *catalog_view_, graph_,
-                          selection_, has_app_ ? &app_ : nullptr);
-    return searcher.Search(keywords, k, min_page_words, max_seeds, deadline);
-  }
-  // Multi-segment: the identical best-first walk, with every term
-  // resolved through the segment gather. Reclaim this thread's gather
-  // buffers first — any spans handed to a previous Search on this thread
-  // are dead once that call returned.
   g_gather.used = 0;
-  TopKSearcher searcher([this](std::string_view token) {
-    return GatherTerm(token);
-  }, *catalog_view_, graph_, selection_, has_app_ ? &app_ : nullptr);
-  return searcher.Search(keywords, k, min_page_words, max_seeds, deadline);
+  std::vector<TermPlan> plans;
+  for (const std::string& token : QueryTokens(keywords)) {
+    plans.push_back(GatherTerm(token));
+  }
+  TopKSearcher searcher(*catalog_view_, graph_, selection_,
+                        has_app_ ? &app_ : nullptr);
+  return searcher.Search(plans, k, min_page_words, max_seeds, deadline);
 }
 
 SnapshotPublisher::SnapshotPublisher(SnapshotPtr initial) {

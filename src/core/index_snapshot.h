@@ -109,23 +109,25 @@ class IndexSnapshot {
 
   // Top-k search against this snapshot (Algorithm 1; see topk_search.h for
   // the parameters, including the optional per-request deadline). Lock-free
-  // and safe from any number of threads. Multi-segment snapshots run the
-  // same single best-first walk over the merged live view via GatherTerm —
-  // answers are exact global top-k, not a per-segment approximation.
+  // and safe from any number of threads. Every token resolves through
+  // GatherTerm, so multi-segment snapshots run the same single best-first
+  // walk over the merged live view — answers are exact global top-k, not a
+  // per-segment approximation.
   std::vector<SearchResult> Search(const std::vector<std::string>& keywords,
                                    int k, std::uint64_t min_page_words,
                                    std::size_t max_seeds = 0,
                                    SearchDeadline* deadline = nullptr) const;
 
-  // The multi-segment gather: resolves one query token against every
-  // segment and k-way-merges the surviving postings (local handles mapped
-  // to global, shadowed/tombstoned definitions masked) into one
-  // fragment-ascending span with the exact global IDF. The span borrows
+  // Resolves one query token to the searcher's TermPlan: the exact global
+  // IDF and a fragment-ascending span over catalog() handles. A single
+  // segment lends its own index span. A multi-segment snapshot gathers:
+  // it k-way-merges every segment's surviving postings (local handles
+  // mapped to global, shadowed/tombstoned definitions masked) into
   // thread-local scratch that stays valid until this thread's next
   // Search/GatherTerm cycle begins. Hot: this is the per-term serving
-  // path under sustained writes, so dash_analyze holds it to the same
-  // purity contract as TopKSearcher::Search (the scratch is capacity-
-  // reusing, steady-state allocation-free).
+  // path, so dash_analyze holds it to the same purity contract as
+  // TopKSearcher::Search (the scratch is capacity-reusing, steady-state
+  // allocation-free).
   TermPlan GatherTerm(std::string_view token) const DASH_HOT_PATH;
 
  private:

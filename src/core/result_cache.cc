@@ -1,6 +1,5 @@
 #include "core/result_cache.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/csv.h"
@@ -9,12 +8,13 @@ namespace dash::core {
 
 std::string ResultCache::MakeKey(const std::vector<std::string>& keywords,
                                  int k, std::uint64_t min_page_words) {
-  // Keyword order must not matter ({"a","b"} == {"b","a"}).
-  std::vector<std::string> sorted = keywords;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.push_back("k=" + std::to_string(k));
-  sorted.push_back("s=" + std::to_string(min_page_words));
-  return util::EncodeFields(sorted);
+  // Keywords in request order: the searcher sums per-term score
+  // contributions in query order, so {"a","b","c"} and {"c","b","a"} can
+  // render different scores — one order must never answer another.
+  std::vector<std::string> fields = keywords;
+  fields.push_back("k=" + std::to_string(k));
+  fields.push_back("s=" + std::to_string(min_page_words));
+  return util::EncodeFields(fields);
 }
 
 std::optional<std::vector<SearchResult>> ResultCache::Lookup(

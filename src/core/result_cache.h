@@ -2,6 +2,8 @@
 //
 // Search engines answer a heavily skewed query distribution; caching the
 // (keywords, k, s) -> results mapping short-circuits repeated hot queries.
+// Keywords key in request order (scores sum per-term contributions in that
+// order, so a reordered query is a different query to the cache).
 // An LRU policy bounds memory. Cache validity is tied to the index by the
 // snapshot generation id: every Lookup/Insert names the generation the
 // caller is serving, and an entry only hits for its own generation — the

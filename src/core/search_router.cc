@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -13,23 +14,6 @@
 namespace dash::core {
 
 namespace {
-
-webapp::HttpResponse TextResponse(int status, std::string body) {
-  webapp::HttpResponse response;
-  response.status = status;
-  response.headers["Content-Type"] = "text/plain; charset=utf-8";
-  response.body = std::move(body);
-  return response;
-}
-
-bool ParseBoundedInt(const std::string& text, std::int64_t min,
-                     std::int64_t max, std::int64_t* out) {
-  std::int64_t value = 0;
-  if (!util::ParseInt64(text, &value)) return false;
-  if (value < min || value > max) return false;
-  *out = value;
-  return true;
-}
 
 // /search (or /shardstats) target for one scatter leg.
 std::string SearchTarget(const char* path,
@@ -59,96 +43,6 @@ std::uint64_t HeaderGeneration(const webapp::HttpResponse& response) {
 }
 
 }  // namespace
-
-// ---- ShardNode -------------------------------------------------------
-
-ShardNode::ShardNode(const SnapshotPublisher& publisher, int shard_index,
-                     int shard_total)
-    : publisher_(&publisher),
-      shard_index_(shard_index),
-      shard_total_(shard_total) {
-  if (shard_total < 1 || shard_index < 0 || shard_index >= shard_total) {
-    throw std::invalid_argument("ShardNode: bad shard index/total");
-  }
-}
-
-ShardReply ShardNode::ServeShard(const std::vector<std::string>& keywords,
-                                 int k, std::uint64_t min_page_words,
-                                 int deadline_ms) {
-  ShardReply reply;
-  SnapshotPtr snapshot = publisher_->Current();
-  if (snapshot == nullptr) return reply;  // pre-publication: not serving
-  SearchDeadline deadline_storage;
-  SearchDeadline* deadline = nullptr;
-  if (deadline_ms > 0) {
-    deadline_storage.at = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(deadline_ms);
-    deadline = &deadline_storage;
-  }
-  reply.results = ViewFor(snapshot)->SearchShard(
-      static_cast<std::size_t>(shard_index_), keywords, k, min_page_words,
-      deadline);
-  reply.ok = true;
-  reply.partial = deadline != nullptr &&
-                  deadline->expired.load(std::memory_order_relaxed);
-  reply.generation = snapshot->generation();
-  return reply;
-}
-
-ShardStatsReply ShardNode::TermStatsFor(
-    const std::vector<std::string>& keywords) {
-  ShardStatsReply reply;
-  SnapshotPtr snapshot = publisher_->Current();
-  if (snapshot == nullptr) return reply;
-  std::shared_ptr<const ShardedEngine> view = ViewFor(snapshot);
-  const auto shard = static_cast<std::size_t>(shard_index_);
-  for (const std::string& keyword : keywords) {
-    for (std::string& token : util::Tokenize(keyword)) {
-      ShardTermStats stats;
-      util::TermId term = view->FindTerm(token);
-      if (term != util::kInvalidTermId) {
-        stats.df = view->ShardDf(term, shard);
-        stats.max_occurrences = view->ShardMaxOccurrences(term, shard);
-      }
-      stats.token = std::move(token);
-      reply.terms.push_back(std::move(stats));
-    }
-  }
-  reply.ok = true;
-  reply.generation = snapshot->generation();
-  return reply;
-}
-
-void ShardNode::WarmView(std::shared_ptr<const ShardedEngine> view) {
-  util::MutexLock lock(view_mutex_);
-  if (view_ == nullptr || view_->snapshot()->generation() <
-                              view->snapshot()->generation()) {
-    view_ = std::move(view);
-  }
-}
-
-std::shared_ptr<const ShardedEngine> ShardNode::ViewFor(
-    const SnapshotPtr& snapshot) {
-  {
-    util::MutexLock lock(view_mutex_);
-    if (view_ != nullptr &&
-        view_->snapshot()->generation() == snapshot->generation()) {
-      return view_;
-    }
-  }
-  // Build OUTSIDE the lock — same rationale as SearchService::ShardedFor:
-  // the build blocks in ParallelFor (lock-block rule) and must not stall
-  // requests still serving the previous view.
-  auto built = std::make_shared<const ShardedEngine>(snapshot, shard_total_);
-  {
-    util::MutexLock lock(view_mutex_);
-    if (view_ == nullptr || view_->snapshot()->generation() <
-                                built->snapshot()->generation()) {
-      view_ = built;
-    }
-  }
-  return built;
-}
 
 // ---- Transports ------------------------------------------------------
 
@@ -259,10 +153,7 @@ SearchRouter::SearchRouter(
     replicas_.push_back(std::move(row));
     shard_latency_.push_back(std::make_unique<util::LatencyHistogram>());
   }
-  std::size_t threads = options.scatter_threads > 0
-                            ? static_cast<std::size_t>(options.scatter_threads)
-                            : replicas_.size();
-  scatter_pool_ = std::make_unique<util::ThreadPool>(threads);
+  scatter_pool_ = std::make_unique<util::ThreadPool>(replicas_.size());
 }
 
 std::vector<std::size_t> SearchRouter::ReplicaOrder(std::size_t shard) const {
@@ -452,68 +343,22 @@ std::vector<SearchResult> SearchRouter::MergePartials(
 
 RouterService::RouterService(SearchRouter& router,
                              const RouterOptions& options)
-    : router_(&router), options_(options) {}
+    : SearchFront("router", options.retry_after_seconds),
+      router_(&router),
+      options_(options) {}
 
-webapp::HttpResponse RouterService::Handle(
+webapp::HttpResponse RouterService::HandleSearch(
     const webapp::HttpRequest& request,
-    std::chrono::steady_clock::time_point admitted) {
-  requests_total_.fetch_add(1, std::memory_order_relaxed);
-  webapp::HttpResponse response;
-  if (request.path == "/search") {
-    response = HandleRouted(request, admitted);
-  } else if (request.path == "/stats") {
-    response = HandleStats();
-  } else if (request.path == "/healthz") {
-    response = TextResponse(200, "ok\n");
-  } else if (request.path.empty() || request.path == "/") {
-    response = TextResponse(
-        200, "dash search router: /search?q=<kw>&k=<n>&s=<n>, /stats\n");
-  } else {
-    not_found_.fetch_add(1, std::memory_order_relaxed);
-    response = TextResponse(404, "unknown path\n");
+    std::chrono::steady_clock::time_point /*admitted*/) {
+  SearchQuery query;
+  if (const char* error = ParseSearchQuery(request, options_, &query)) {
+    return TextResponse(400, error);
   }
-  if (response.status == 200) ok_.fetch_add(1, std::memory_order_relaxed);
-  return response;
-}
-
-webapp::HttpResponse RouterService::HandleRouted(
-    const webapp::HttpRequest& request,
-    std::chrono::steady_clock::time_point admitted) {
-  std::vector<std::string> keywords;
-  std::int64_t k = options_.default_k;
-  auto s = static_cast<std::int64_t>(options_.default_s);
-  for (auto& [field, value] :
-       webapp::ParseQueryParams(request.EffectiveQueryString())) {
-    if (field == "q") {
-      keywords.push_back(std::move(value));
-    } else if (field == "k") {
-      if (!ParseBoundedInt(value, 1, 100000, &k)) {
-        bad_request_.fetch_add(1, std::memory_order_relaxed);
-        return TextResponse(400, "bad k parameter\n");
-      }
-    } else if (field == "s") {
-      if (!ParseBoundedInt(value, 0, std::int64_t{1} << 62, &s)) {
-        bad_request_.fetch_add(1, std::memory_order_relaxed);
-        return TextResponse(400, "bad s parameter\n");
-      }
-    }
-  }
-  if (keywords.empty()) {
-    bad_request_.fetch_add(1, std::memory_order_relaxed);
-    return TextResponse(400, "missing q parameter\n");
-  }
-
-  RoutedResult routed = ExecuteRouted(keywords, static_cast<int>(k),
-                                      static_cast<std::uint64_t>(s));
+  RoutedResult routed = ExecuteRouted(query);
 
   webapp::HttpResponse response;
-  const std::string coverage = std::to_string(routed.shards_answered) + "/" +
-                               std::to_string(routed.shards_total);
   if (routed.shards_answered == 0) {
-    unavailable_.fetch_add(1, std::memory_order_relaxed);
     response = TextResponse(503, "no shard answered\n");
-    response.headers["Retry-After"] =
-        std::to_string(options_.retry_after_seconds);
   } else {
     response = TextResponse(routed.partial ? 504 : 200,
                             SearchService::RenderResults(routed.results));
@@ -521,41 +366,29 @@ webapp::HttpResponse RouterService::HandleRouted(
         std::to_string(routed.generation_min);
     response.headers["X-Dash-Generation-Max"] =
         std::to_string(routed.generation_max);
-    if (routed.partial) {
-      gateway_timeout_.fetch_add(1, std::memory_order_relaxed);
-      response.headers["X-Dash-Partial"] = "1";
-    } else if (routed.shards_answered < routed.shards_total) {
+    if (!routed.partial && routed.shards_answered < routed.shards_total) {
       degraded_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  response.headers["X-Dash-Shards-Answered"] = coverage;
+  response.headers["X-Dash-Shards-Answered"] =
+      std::to_string(routed.shards_answered) + "/" +
+      std::to_string(routed.shards_total);
   if (routed.shards_answered < routed.shards_total) {
     response.headers["X-Dash-Degraded"] = "1";
   }
-  latency_.Record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - admitted)
-          .count()));
   return response;
 }
 
 // The routed slow path: the scatter-gather itself. DASH_COLD_PATH —
-// HandleRouted (hot) stops the purity walk here; everything below blocks
+// HandleSearch (hot) stops the purity walk here; everything below blocks
 // on the router's own scatter pool by design.
-RoutedResult RouterService::ExecuteRouted(
-    const std::vector<std::string>& keywords, int k,
-    std::uint64_t min_page_words) {
+RoutedResult RouterService::ExecuteRouted(const SearchQuery& query) {
   routed_.fetch_add(1, std::memory_order_relaxed);
-  return router_->RouteQuery(keywords, k, min_page_words);
+  return router_->RouteQuery(query.keywords, query.k, query.min_page_words);
 }
 
-webapp::HttpResponse RouterService::HandleStats() {
+void RouterService::WriteStats(StatsJson& json) {
   RouterCounters c = counters();
-  std::function<webapp::HttpServer::Stats()> transport;
-  {
-    util::MutexLock lock(stats_mutex_);
-    transport = transport_stats_;
-  }
   // Merge-then-quantile over the per-shard leg histograms: exact bucket
   // sums, so the cluster-wide leg percentiles carry the same ~6% bound as
   // any single histogram (quantile-of-per-shard-quantiles would not).
@@ -565,64 +398,23 @@ webapp::HttpResponse RouterService::HandleStats() {
     legs.Merge(router_->shard_latency(shard));
     replicas_total += router_->replica_count(shard);
   }
-  std::string json = "{\n";
-  auto field = [&json](const char* name, std::uint64_t value,
-                       bool last = false) {
-    json += "  \"";
-    json += name;
-    json += "\": ";
-    json += std::to_string(value);
-    json += last ? "\n" : ",\n";
-  };
-  field("shards", router_->shard_count());
-  field("replicas_total", replicas_total);
-  if (transport != nullptr) {
-    webapp::HttpServer::Stats t = transport();
-    field("queue_depth", t.queue_depth);
-    field("queue_capacity", t.queue_capacity);
-    field("accepted", t.accepted);
-    field("shed", t.shed);
-    field("handled", t.handled);
-    field("parse_errors", t.parse_errors);
-  }
-  field("requests_total", c.requests_total);
-  field("ok", c.ok);
-  field("degraded", c.degraded);
-  field("bad_request", c.bad_request);
-  field("not_found", c.not_found);
-  field("unavailable", c.unavailable);
-  field("gateway_timeout", c.gateway_timeout);
-  field("routed", c.routed);
-  field("latency_count", c.latency_count);
-  field("latency_p50_us", c.latency_p50_us);
-  field("latency_p99_us", c.latency_p99_us);
-  field("latency_max_us", c.latency_max_us);
-  field("leg_latency_count", legs.count());
-  field("leg_latency_p50_us", legs.Percentile(0.50));
-  field("leg_latency_p99_us", legs.Percentile(0.99));
-  field("leg_latency_max_us", legs.max());
-  field("shard_deadline_ms",
-        static_cast<std::uint64_t>(options_.shard_deadline_ms), true);
-  json += "}\n";
-  webapp::HttpResponse response = TextResponse(200, std::move(json));
-  response.headers["Content-Type"] = "application/json";
-  return response;
+  json.Field("degraded", c.degraded);
+  json.Field("routed", c.routed);
+  json.Field("shards", router_->shard_count());
+  json.Field("replicas_total", replicas_total);
+  json.Field("leg_latency_count", legs.count());
+  json.Field("leg_latency_p50_us", legs.Percentile(0.50));
+  json.Field("leg_latency_p99_us", legs.Percentile(0.99));
+  json.Field("leg_latency_max_us", legs.max());
+  json.Field("shard_deadline_ms",
+             static_cast<std::uint64_t>(options_.shard_deadline_ms));
 }
 
 RouterCounters RouterService::counters() const {
   RouterCounters c;
-  c.requests_total = requests_total_.load(std::memory_order_relaxed);
-  c.ok = ok_.load(std::memory_order_relaxed);
+  static_cast<FrontCounters&>(c) = front_counters();
   c.degraded = degraded_.load(std::memory_order_relaxed);
-  c.bad_request = bad_request_.load(std::memory_order_relaxed);
-  c.not_found = not_found_.load(std::memory_order_relaxed);
-  c.unavailable = unavailable_.load(std::memory_order_relaxed);
-  c.gateway_timeout = gateway_timeout_.load(std::memory_order_relaxed);
   c.routed = routed_.load(std::memory_order_relaxed);
-  c.latency_count = latency_.count();
-  c.latency_p50_us = latency_.Percentile(0.50);
-  c.latency_p99_us = latency_.Percentile(0.99);
-  c.latency_max_us = latency_.max();
   return c;
 }
 
@@ -630,24 +422,10 @@ RouterCounters RouterService::counters() const {
 
 RouterServer::RouterServer(
     std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports,
-    const RouterOptions& options) {
-  router_ = std::make_unique<SearchRouter>(std::move(transports), options);
-  service_ = std::make_unique<RouterService>(*router_, options);
-  webapp::HttpServer::Options http_options;
-  http_options.port = options.port;
-  http_options.num_workers = options.num_workers;
-  http_options.queue_capacity = options.queue_capacity;
-  http_options.retry_after_seconds = options.retry_after_seconds;
-  http_ = std::make_unique<webapp::HttpServer>(
-      [service = service_.get()](const webapp::HttpRequest& request,
-                                 std::chrono::steady_clock::time_point
-                                     admitted) {
-        return service->Handle(request, admitted);
-      },
-      http_options);
-  service_->set_transport_stats(
-      [http = http_.get()] { return http->stats(); });
-}
+    const RouterOptions& options)
+    : router_(std::make_unique<SearchRouter>(std::move(transports), options)),
+      service_(std::make_unique<RouterService>(*router_, options)),
+      http_(ServeOverHttp(*service_, options)) {}
 
 RouterServer::~RouterServer() { Stop(); }
 

@@ -4,10 +4,11 @@
 // nodes; this module lifts the single-process scatter-gather of
 // core/sharded_engine.h into a three-role cluster:
 //
-//   shard node — a SearchService in shard-node mode (ServeOptions::
-//     shard_index >= 0): it owns its own SnapshotPublisher, answers
-//     /search with the local top-k of ONE fragment slice, reports its
-//     slice's per-term statistics on /shardstats, and advances its
+//   shard node — a ShardNode (core/sharded_engine.h), reached in process
+//     or through a SearchService in shard-node mode (ServeOptions::
+//     shard_index >= 0) over HTTP: it owns its own SnapshotPublisher,
+//     answers /search with the local top-k of ONE fragment slice, reports
+//     its slice's per-term statistics on /shardstats, and advances its
 //     generation independently of every other node.
 //
 //   router — SearchRouter scatter-gathers one query across all shards.
@@ -16,8 +17,8 @@
 //     to the next replica on transport failure, enforces a per-shard
 //     deadline, and merges whatever answered with MergePartials — the
 //     tolerant generalization of ShardedEngine::MergeShardResults.
-//     RouterService/RouterServer put the router behind the same HTTP
-//     surface SearchService/SearchServer use for a single node.
+//     RouterService/RouterServer put the router behind the same request
+//     front (SearchFront) a single node's SearchService uses.
 //
 //   chaos — testing/chaos.h wraps ShardTransports to inject crashes,
 //     stragglers, and stale-generation replicas deterministically from a
@@ -53,9 +54,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,36 +62,10 @@
 #include "core/sharded_engine.h"
 #include "util/analysis_annotations.h"
 #include "util/histogram.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "webapp/http_server.h"
 
 namespace dash::core {
-
-// One replica's answer to one scatter leg.
-struct ShardReply {
-  bool ok = false;       // a live replica answered (possibly with a partial)
-  bool partial = false;  // the replica's own deadline truncated the list
-  std::uint64_t generation = 0;  // snapshot generation the replica served
-  std::vector<SearchResult> results;  // the replica's local top-k
-};
-
-// Per-token statistics of one shard slice (one /shardstats line).
-struct ShardTermStats {
-  std::string token;               // normalized query token
-  std::uint64_t df = 0;            // fragments of this shard containing it
-  std::uint32_t max_occurrences = 0;  // max per-fragment occurrence count
-};
-
-// A /shardstats answer: the slice statistics plus the generation they
-// were computed against (stats and results can skew across replicas like
-// everything else).
-struct ShardStatsReply {
-  bool ok = false;
-  std::uint64_t generation = 0;
-  std::vector<ShardTermStats> terms;
-};
 
 // Transport to ONE replica of ONE shard. Implementations block (sockets,
 // injected straggler sleeps), so the router only ever calls them from its
@@ -114,68 +87,25 @@ class ShardTransport {
   virtual std::string description() const = 0;
 };
 
-// In-process shard node: one fragment slice served straight from whatever
-// its publisher currently publishes. This is the transport-free core of a
-// shard node — SearchService in shard-node mode is the same logic behind
-// HTTP. Replicas of one shard each hold their own ShardNode over their
-// own publisher, so generations skew exactly as real nodes' would.
-class ShardNode {
- public:
-  // Serves shard `shard_index` of `shard_total` from `publisher` (must
-  // outlive the node). Publications are picked up per request.
-  ShardNode(const SnapshotPublisher& publisher, int shard_index,
-            int shard_total);
-
-  ShardReply ServeShard(const std::vector<std::string>& keywords, int k,
-                        std::uint64_t min_page_words, int deadline_ms);
-  ShardStatsReply TermStatsFor(const std::vector<std::string>& keywords);
-
-  int shard_index() const { return shard_index_; }
-  int shard_total() const { return shard_total_; }
-  std::uint64_t generation() const { return publisher_->CurrentGeneration(); }
-
-  // Pre-warms the per-generation view cache with an already-built engine
-  // (used while its generation matches the published one). Lets a test
-  // cluster share ONE ShardedEngine across all in-sync replicas instead
-  // of building shards×replicas identical views.
-  void WarmView(std::shared_ptr<const ShardedEngine> view)
-      DASH_EXCLUDES(view_mutex_);
-
- private:
-  // The sharded view of `snapshot`, built lazily and cached per
-  // generation — the double-checked build-outside-the-lock pattern of
-  // SearchService::ShardedFor (the build blocks in ParallelFor; holding
-  // view_mutex_ across it would trip the lock-block rule and stall
-  // requests that could serve the previous view).
-  std::shared_ptr<const ShardedEngine> ViewFor(const SnapshotPtr& snapshot)
-      DASH_EXCLUDES(view_mutex_);
-
-  const SnapshotPublisher* const publisher_;
-  const int shard_index_;
-  const int shard_total_;
-  mutable util::Mutex view_mutex_;
-  std::shared_ptr<const ShardedEngine> view_ DASH_GUARDED_BY(view_mutex_);
-};
-
-// Transport to an in-process ShardNode (not owned; must outlive).
+// Transport to an in-process ShardNode (not owned; must outlive): each
+// call pins the node's currently published snapshot.
 class InProcessShardTransport : public ShardTransport {
  public:
-  InProcessShardTransport(ShardNode* node, int deadline_ms)
-      : node_(node), deadline_ms_(deadline_ms) {}
+  explicit InProcessShardTransport(ShardNode* node) : node_(node) {}
 
   ShardReply Route(const std::vector<std::string>& keywords, int k,
                    std::uint64_t min_page_words) override {
-    return node_->ServeShard(keywords, k, min_page_words, deadline_ms_);
+    return node_->Serve(node_->publisher().Current(), keywords, k,
+                        min_page_words);
   }
   ShardStatsReply RouteStats(
       const std::vector<std::string>& keywords) override {
-    return node_->TermStatsFor(keywords);
+    return node_->TermStats(node_->publisher().Current(), keywords);
   }
   std::string description() const override;
 
  private:
   ShardNode* const node_;
-  const int deadline_ms_;  // per-request budget handed to the node; 0 = none
 };
 
 // Transport to a loopback-HTTP shard node (a SearchServer running with
@@ -197,9 +127,7 @@ class HttpShardTransport : public ShardTransport {
   const int port_;
 };
 
-struct RouterOptions {
-  int default_k = 10;        // k when the query omits it
-  std::uint64_t default_s = 0;  // s (min page words) when omitted
+struct RouterOptions : FrontOptions {
   // Gather budget per shard: a leg that has not answered this long after
   // scatter start is abandoned (the shard counts as unanswered; its
   // transport call finishes on the scatter pool in the background).
@@ -208,16 +136,6 @@ struct RouterOptions {
   // Probe /shardstats and skip shards whose df is 0 for every query
   // token (exact — such a shard's local top-k is provably empty).
   bool use_shard_stats = true;
-  // Failed-replica penalty: selection score is ewma_us << min(consecutive
-  // failures, 6), so a freshly failed replica ranks behind a healthy one
-  // even before latency differentiates them.
-  int retry_after_seconds = 1;  // Retry-After on 503 (no shard answered)
-  int num_workers = 4;          // RouterServer HTTP worker threads
-  std::size_t queue_capacity = 64;
-  int port = 0;  // 0 = ephemeral
-  // Scatter pool size; 0 = one thread per shard (each leg blocks in its
-  // transport, so the pool must hold every concurrent leg).
-  int scatter_threads = 0;
 };
 
 // What one routed query produced (RouterService turns this into the HTTP
@@ -311,80 +229,48 @@ class SearchRouter {
   std::vector<std::vector<std::unique_ptr<Replica>>> replicas_;
   // Histogram is atomic-array (non-movable), hence the indirection.
   std::vector<std::unique_ptr<util::LatencyHistogram>> shard_latency_;
-  // Owned: legs block in transports, which the shared process pool
-  // forbids (util::ThreadPool::Shared contract).
+  // Owned, one thread per shard: every leg blocks in its transport, so the
+  // pool must hold every concurrent leg — and the shared process pool
+  // forbids blocking (util::ThreadPool::Shared contract).
   std::unique_ptr<util::ThreadPool> scatter_pool_;
 };
 
 // Router-level serving counters (/stats).
-struct RouterCounters {
-  std::uint64_t requests_total = 0;
-  std::uint64_t ok = 0;               // 200 (includes degraded)
-  std::uint64_t degraded = 0;         // 200 with answered < total
-  std::uint64_t bad_request = 0;      // 400
-  std::uint64_t not_found = 0;        // 404
-  std::uint64_t unavailable = 0;      // 503 (no shard answered)
-  std::uint64_t gateway_timeout = 0;  // 504 (partial merge)
-  std::uint64_t routed = 0;           // RouteQuery calls executed
-  std::uint64_t latency_count = 0;    // request latency, admission→response
-  std::uint64_t latency_p50_us = 0;
-  std::uint64_t latency_p99_us = 0;
-  std::uint64_t latency_max_us = 0;
+struct RouterCounters : FrontCounters {
+  std::uint64_t degraded = 0;  // 200 with answered < total
+  std::uint64_t routed = 0;    // RouteQuery calls executed
 };
 
-// The router behind the standard request surface: /search with the same
+// The router behind the shared request front: /search with the same
 // grammar and byte-identical body rendering as a single node (plus the
 // coverage/skew headers above), /stats, /healthz. Transport-free like
 // SearchService — tests call Handle() directly, RouterServer adds HTTP.
-class RouterService {
+class RouterService : public SearchFront {
  public:
   // `router` must outlive the service.
   RouterService(SearchRouter& router, const RouterOptions& options);
 
-  webapp::HttpResponse Handle(const webapp::HttpRequest& request,
-                              std::chrono::steady_clock::time_point admitted);
-
   RouterCounters counters() const;
   SearchRouter& router() { return *router_; }
 
-  void set_transport_stats(
-      std::function<webapp::HttpServer::Stats()> provider)
-      DASH_EXCLUDES(stats_mutex_) {
-    util::MutexLock lock(stats_mutex_);
-    transport_stats_ = std::move(provider);
-  }
-
  private:
   // The routed /search fast path: parse, route (via the cold boundary),
-  // render, stamp coverage headers. DASH_HOT_PATH like the single-node
-  // HandleSearch it mirrors — everything slow lives behind ExecuteRouted.
-  webapp::HttpResponse HandleRouted(
+  // render, stamp coverage headers. DASH_HOT_PATH like the single node's
+  // HandleSearch — everything slow lives behind ExecuteRouted.
+  webapp::HttpResponse HandleSearch(
       const webapp::HttpRequest& request,
-      std::chrono::steady_clock::time_point admitted) DASH_HOT_PATH;
-  webapp::HttpResponse HandleStats() DASH_EXCLUDES(stats_mutex_);
+      std::chrono::steady_clock::time_point admitted) override DASH_HOT_PATH;
+  void WriteStats(StatsJson& json) override;
 
   // The sanctioned slow path: the scatter-gather itself (legs block on
   // transports). DASH_COLD_PATH stops the hot-path purity walk here,
   // exactly like SearchService::ExecuteSearch.
-  RoutedResult ExecuteRouted(const std::vector<std::string>& keywords, int k,
-                             std::uint64_t min_page_words) DASH_COLD_PATH;
+  RoutedResult ExecuteRouted(const SearchQuery& query) DASH_COLD_PATH;
 
   SearchRouter* const router_;
   const RouterOptions options_;
-
-  mutable util::Mutex stats_mutex_;
-  std::function<webapp::HttpServer::Stats()> transport_stats_
-      DASH_GUARDED_BY(stats_mutex_);
-
-  std::atomic<std::uint64_t> requests_total_{0};
-  std::atomic<std::uint64_t> ok_{0};
   std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> bad_request_{0};
-  std::atomic<std::uint64_t> not_found_{0};
-  std::atomic<std::uint64_t> unavailable_{0};
-  std::atomic<std::uint64_t> gateway_timeout_{0};
   std::atomic<std::uint64_t> routed_{0};
-  util::LatencyHistogram latency_;
 };
 
 // A complete router node: SearchRouter + RouterService + HTTP transport.

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "util/string_util.h"
-#include "util/tokenizer.h"
 
 namespace dash::core {
 
@@ -24,6 +23,18 @@ std::string FormatScore(double score) {
   return buf;
 }
 
+// The node's shard slice, if `options` names one. Whole-index serving
+// leaves shards and shard_index unset; anything in between is a slice that
+// does not exist (ShardNode throws std::invalid_argument).
+std::unique_ptr<ShardNode> MakeShardNode(const SnapshotPublisher& publisher,
+                                         const ServeOptions& options) {
+  if (options.shards <= 0 && options.shard_index < 0) return nullptr;
+  return std::make_unique<ShardNode>(publisher, options.shard_index,
+                                     options.shards);
+}
+
+}  // namespace
+
 webapp::HttpResponse TextResponse(int status, std::string body) {
   webapp::HttpResponse response;
   response.status = status;
@@ -32,23 +43,171 @@ webapp::HttpResponse TextResponse(int status, std::string body) {
   return response;
 }
 
-// Parses a decimal integer query parameter into `*out`; false on garbage
-// or a value outside [min, max].
-bool ParseBoundedInt(const std::string& text, std::int64_t min,
-                     std::int64_t max, std::int64_t* out) {
-  std::int64_t value = 0;
-  if (!util::ParseInt64(text, &value)) return false;
-  if (value < min || value > max) return false;
-  *out = value;
-  return true;
+const char* ParseSearchQuery(const webapp::HttpRequest& request,
+                             const FrontOptions& options, SearchQuery* query) {
+  std::int64_t k = options.default_k;
+  auto s = static_cast<std::int64_t>(options.default_s);
+  for (auto& [field, value] :
+       webapp::ParseQueryParams(request.EffectiveQueryString())) {
+    if (field == "q") {
+      query->keywords.push_back(std::move(value));
+    } else if (field == "k") {
+      if (!util::ParseInt64(value, &k) || k < 1 || k > 100000) {
+        return "bad k parameter\n";
+      }
+    } else if (field == "s") {
+      if (!util::ParseInt64(value, &s) || s < 0 || s > std::int64_t{1} << 62) {
+        return "bad s parameter\n";
+      }
+    }
+  }
+  if (query->keywords.empty()) return "missing q parameter\n";
+  query->k = static_cast<int>(k);
+  query->min_page_words = static_cast<std::uint64_t>(s);
+  return nullptr;
 }
 
-}  // namespace
+void StatsJson::Raw(const char* name, const std::string& value) {
+  json_ += json_.size() > 1 ? ",\n  \"" : "\n  \"";
+  json_ += name;
+  json_ += "\": ";
+  json_ += value;
+}
+
+// ---- SearchFront -----------------------------------------------------
+
+SearchFront::SearchFront(const char* name, int retry_after_seconds)
+    : banner_(std::string("dash search ") + name +
+              ": /search?q=<kw>&k=<n>&s=<n>, /stats\n"),
+      retry_after_seconds_(retry_after_seconds) {}
+
+webapp::HttpResponse SearchFront::Handle(
+    const webapp::HttpRequest& request,
+    std::chrono::steady_clock::time_point admitted) {
+  requests_total_.fetch_add(1, std::memory_order_relaxed);
+  webapp::HttpResponse response;
+  if (request.path == "/search") {
+    response = HandleSearch(request, admitted);
+    if (response.status != 400) {
+      latency_.Record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - admitted)
+              .count()));
+    }
+  } else if (request.path == "/stats") {
+    response = HandleStats();
+  } else if (request.path == "/healthz") {
+    response = TextResponse(200, "ok\n");
+  } else if (request.path.empty() || request.path == "/") {
+    response = TextResponse(200, banner_);
+  } else {
+    response = HandlePath(request);
+  }
+  switch (response.status) {
+    case 200:
+      ok_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case 400:
+      bad_request_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case 404:
+      not_found_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case 503:
+      unavailable_.fetch_add(1, std::memory_order_relaxed);
+      response.headers["Retry-After"] = std::to_string(retry_after_seconds_);
+      break;
+    case 504:
+      gateway_timeout_.fetch_add(1, std::memory_order_relaxed);
+      response.headers["X-Dash-Partial"] = "1";
+      break;
+    default:
+      break;
+  }
+  return response;
+}
+
+webapp::HttpResponse SearchFront::HandlePath(const webapp::HttpRequest&) {
+  return TextResponse(404, "unknown path\n");
+}
+
+webapp::HttpResponse SearchFront::HandleStats() {
+  std::function<webapp::HttpServer::Stats()> transport;
+  {
+    util::MutexLock lock(stats_mutex_);
+    transport = transport_stats_;
+  }
+  StatsJson json;
+  if (transport != nullptr) {
+    // Called outside stats_mutex_: the provider reaches into HttpServer
+    // (which takes its own locks) and must not nest under ours.
+    webapp::HttpServer::Stats t = transport();
+    json.Field("queue_depth", t.queue_depth);
+    json.Field("queue_capacity", t.queue_capacity);
+    json.Field("accepted", t.accepted);
+    json.Field("shed", t.shed);
+    json.Field("handled", t.handled);
+    json.Field("parse_errors", t.parse_errors);
+  }
+  FrontCounters c = front_counters();
+  json.Field("requests_total", c.requests_total);
+  json.Field("ok", c.ok);
+  json.Field("bad_request", c.bad_request);
+  json.Field("not_found", c.not_found);
+  json.Field("unavailable", c.unavailable);
+  json.Field("gateway_timeout", c.gateway_timeout);
+  json.Field("latency_count", c.latency_count);
+  json.Field("latency_p50_us", c.latency_p50_us);
+  json.Field("latency_p99_us", c.latency_p99_us);
+  json.Field("latency_p999_us", c.latency_p999_us);
+  json.Field("latency_max_us", c.latency_max_us);
+  WriteStats(json);
+  webapp::HttpResponse response = TextResponse(200, json.Finish());
+  response.headers["Content-Type"] = "application/json";
+  return response;
+}
+
+FrontCounters SearchFront::front_counters() const {
+  FrontCounters c;
+  c.requests_total = requests_total_.load(std::memory_order_relaxed);
+  c.ok = ok_.load(std::memory_order_relaxed);
+  c.bad_request = bad_request_.load(std::memory_order_relaxed);
+  c.not_found = not_found_.load(std::memory_order_relaxed);
+  c.unavailable = unavailable_.load(std::memory_order_relaxed);
+  c.gateway_timeout = gateway_timeout_.load(std::memory_order_relaxed);
+  c.latency_count = latency_.count();
+  c.latency_p50_us = latency_.Percentile(0.50);
+  c.latency_p99_us = latency_.Percentile(0.99);
+  c.latency_p999_us = latency_.Percentile(0.999);
+  c.latency_max_us = latency_.max();
+  return c;
+}
+
+std::unique_ptr<webapp::HttpServer> ServeOverHttp(SearchFront& front,
+                                                  const FrontOptions& options) {
+  webapp::HttpServer::Options http_options;
+  http_options.port = options.port;
+  http_options.num_workers = options.num_workers;
+  http_options.queue_capacity = options.queue_capacity;
+  http_options.retry_after_seconds = options.retry_after_seconds;
+  auto http = std::make_unique<webapp::HttpServer>(
+      [&front](const webapp::HttpRequest& request,
+               std::chrono::steady_clock::time_point admitted) {
+        return front.Handle(request, admitted);
+      },
+      http_options);
+  front.set_transport_stats([server = http.get()] { return server->stats(); });
+  return http;
+}
+
+// ---- SearchService ---------------------------------------------------
 
 SearchService::SearchService(const SnapshotPublisher& publisher,
                              const ServeOptions& options)
-    : publisher_(&publisher),
+    : SearchFront("server", options.retry_after_seconds),
+      publisher_(&publisher),
       options_(options),
+      shard_node_(MakeShardNode(publisher, options)),
       cache_(options.cache_capacity > 0
                  ? std::make_unique<ResultCache>(options.cache_capacity)
                  : nullptr) {}
@@ -157,69 +316,16 @@ std::optional<std::vector<SearchResult>> SearchService::ParseRenderedResults(
   return results;
 }
 
-webapp::HttpResponse SearchService::Handle(
-    const webapp::HttpRequest& request,
-    std::chrono::steady_clock::time_point admitted) {
-  requests_total_.fetch_add(1, std::memory_order_relaxed);
-
-  webapp::HttpResponse response;
-  if (request.path == "/search") {
-    response = HandleSearch(request, admitted);
-  } else if (request.path == "/stats") {
-    response = HandleStats();
-  } else if (request.path == "/shardstats") {
-    response = HandleShardStats(request);
-  } else if (request.path == "/healthz") {
-    response = TextResponse(200, "ok\n");
-  } else if (request.path.empty() || request.path == "/") {
-    response = TextResponse(
-        200, "dash search server: /search?q=<kw>&k=<n>&s=<n>, /stats\n");
-  } else {
-    not_found_.fetch_add(1, std::memory_order_relaxed);
-    response = TextResponse(404, "unknown path\n");
-  }
-  if (response.status == 200) ok_.fetch_add(1, std::memory_order_relaxed);
-  return response;
-}
-
 webapp::HttpResponse SearchService::HandleSearch(
     const webapp::HttpRequest& request,
     std::chrono::steady_clock::time_point admitted) {
+  // The one pin of this request: the generation header, the cache key and
+  // the body all come from this snapshot.
   SnapshotPtr snapshot = publisher_->Current();
-  if (snapshot == nullptr) {
-    unavailable_.fetch_add(1, std::memory_order_relaxed);
-    webapp::HttpResponse response =
-        TextResponse(503, "no snapshot published\n");
-    response.headers["Retry-After"] =
-        std::to_string(options_.retry_after_seconds);
-    return response;
-  }
-
-  // Each q= value is one keyword string, handed to the engine verbatim
-  // (the engine tokenizes, exactly as a direct Search call would).
-  std::vector<std::string> keywords;
-  std::int64_t k = options_.default_k;
-  auto s = static_cast<std::int64_t>(options_.default_s);
-  for (auto& [field, value] :
-       webapp::ParseQueryParams(request.EffectiveQueryString())) {
-    if (field == "q") {
-      keywords.push_back(std::move(value));
-    } else if (field == "k") {
-      if (!ParseBoundedInt(value, 1, 100000, &k)) {
-        bad_request_.fetch_add(1, std::memory_order_relaxed);
-        return TextResponse(400, "bad k parameter\n");
-      }
-    } else if (field == "s") {
-      if (!ParseBoundedInt(value, 0, std::int64_t{1} << 62, &s)) {
-        bad_request_.fetch_add(1, std::memory_order_relaxed);
-        return TextResponse(400, "bad s parameter\n");
-      }
-    }
-    // Unknown fields are ignored (standard web behavior).
-  }
-  if (keywords.empty()) {
-    bad_request_.fetch_add(1, std::memory_order_relaxed);
-    return TextResponse(400, "missing q parameter\n");
+  if (snapshot == nullptr) return TextResponse(503, "no snapshot published\n");
+  SearchQuery query;
+  if (const char* error = ParseSearchQuery(request, options_, &query)) {
+    return TextResponse(400, error);
   }
 
   SearchDeadline deadline_storage;
@@ -230,19 +336,17 @@ webapp::HttpResponse SearchService::HandleSearch(
     deadline = &deadline_storage;
   }
 
-  const auto ki = static_cast<int>(k);
-  const auto si = static_cast<std::uint64_t>(s);
   std::vector<SearchResult> results;
   bool from_cache = false;
   if (cache_ != nullptr) {
-    if (auto hit = cache_->Lookup(keywords, ki, si, snapshot->generation())) {
+    if (auto hit = cache_->Lookup(query.keywords, query.k,
+                                  query.min_page_words,
+                                  snapshot->generation())) {
       results = std::move(*hit);
       from_cache = true;
     }
   }
-  if (!from_cache) {
-    results = ExecuteSearch(snapshot, keywords, ki, si, deadline);
-  }
+  if (!from_cache) results = ExecuteSearch(snapshot, query, deadline);
 
   bool expired = deadline != nullptr &&
                  deadline->expired.load(std::memory_order_relaxed);
@@ -250,24 +354,16 @@ webapp::HttpResponse SearchService::HandleSearch(
       TextResponse(expired ? 504 : 200, RenderResults(results));
   response.headers["X-Dash-Generation"] =
       std::to_string(snapshot->generation());
-  if (expired) {
-    gateway_timeout_.fetch_add(1, std::memory_order_relaxed);
-    response.headers["X-Dash-Partial"] = "1";
-  }
-  latency_.Record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - admitted)
-          .count()));
   return response;
 }
 
 // The cache-miss slow path. DASH_COLD_PATH: HandleSearch (hot) may call
-// this, and everything here — the debug delay, a sharded-view rebuild,
-// the engine walk, the cache fill — is sanctioned slow-path work that
+// this, and everything here — the debug delay, a shard-view rebuild, the
+// engine walk, the cache fill — is sanctioned slow-path work that
 // dash_analyze's purity walk deliberately does not descend into.
 std::vector<SearchResult> SearchService::ExecuteSearch(
-    const SnapshotPtr& snapshot, const std::vector<std::string>& keywords,
-    int k, std::uint64_t min_page_words, SearchDeadline* deadline) {
+    const SnapshotPtr& snapshot, const SearchQuery& query,
+    SearchDeadline* deadline) {
   if (options_.debug_delay_ms > 0) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(options_.debug_delay_ms));
@@ -288,82 +384,48 @@ std::vector<SearchResult> SearchService::ExecuteSearch(
       }
     }
   }
-  std::vector<SearchResult> results;
-  if (options_.shards > 0 && options_.shard_index >= 0) {
-    // Shard-node mode: answer only this node's slice — one scatter leg of
-    // the router's fan-out, on the calling thread (the router owns the
-    // cross-shard parallelism). The cache stays correct because a node's
-    // shard index is fixed for its lifetime.
-    results = ShardedFor(snapshot)->SearchShard(
-        static_cast<std::size_t>(options_.shard_index), keywords, k,
-        min_page_words, deadline);
-  } else if (options_.shards > 0) {
-    results =
-        ShardedFor(snapshot)->Search(keywords, k, min_page_words, deadline);
-  } else {
-    results = snapshot->Search(keywords, k, min_page_words, /*max_seeds=*/0,
-                               deadline);
-  }
+  // A shard node answers only its slice — one scatter leg of the router's
+  // fan-out, on the calling thread (the router owns the cross-shard
+  // parallelism). The cache stays correct because a node's shard index is
+  // fixed for its lifetime.
+  std::vector<SearchResult> results =
+      shard_node_ != nullptr
+          ? shard_node_
+                ->Serve(snapshot, query.keywords, query.k,
+                        query.min_page_words, deadline)
+                .results
+          : snapshot->Search(query.keywords, query.k, query.min_page_words,
+                             /*max_seeds=*/0, deadline);
   // Never cache a deadline-truncated list: it is valid for this request
   // but not the query's answer.
   bool partial = deadline != nullptr &&
                  deadline->expired.load(std::memory_order_relaxed);
   if (cache_ != nullptr && !partial) {
-    cache_->Insert(keywords, k, min_page_words, snapshot->generation(),
-                   results);
+    cache_->Insert(query.keywords, query.k, query.min_page_words,
+                   snapshot->generation(), results);
   }
   return results;
 }
 
-// Shard-node statistics probe. Cold path like HandleStats: a router calls
-// this once per routing-table refresh, not per query.
-webapp::HttpResponse SearchService::HandleShardStats(
+// Shard-node statistics probe. Cold path like /stats: a router calls this
+// once per leg, never from a hot root.
+webapp::HttpResponse SearchService::HandlePath(
     const webapp::HttpRequest& request) {
-  if (options_.shards <= 0 || options_.shard_index < 0) {
-    bad_request_.fetch_add(1, std::memory_order_relaxed);
-    return TextResponse(400, "not a shard node\n");
-  }
+  if (request.path != "/shardstats") return SearchFront::HandlePath(request);
+  if (shard_node_ == nullptr) return TextResponse(400, "not a shard node\n");
   SnapshotPtr snapshot = publisher_->Current();
-  if (snapshot == nullptr) {
-    unavailable_.fetch_add(1, std::memory_order_relaxed);
-    webapp::HttpResponse response =
-        TextResponse(503, "no snapshot published\n");
-    response.headers["Retry-After"] =
-        std::to_string(options_.retry_after_seconds);
-    return response;
-  }
-  // q= values are normalized exactly as /search's engine path normalizes
-  // them, so the reported terms line up with what a query would seed on.
-  std::vector<std::string> tokens;
+  if (snapshot == nullptr) return TextResponse(503, "no snapshot published\n");
+  std::vector<std::string> keywords;
   for (auto& [field, value] :
        webapp::ParseQueryParams(request.EffectiveQueryString())) {
-    if (field == "q") {
-      for (std::string& token : util::Tokenize(value)) {
-        tokens.push_back(std::move(token));
-      }
-    }
+    if (field == "q") keywords.push_back(std::move(value));
   }
-  if (tokens.empty()) {
-    bad_request_.fetch_add(1, std::memory_order_relaxed);
-    return TextResponse(400, "missing q parameter\n");
-  }
-  std::shared_ptr<const ShardedEngine> view = ShardedFor(snapshot);
-  const auto shard = static_cast<std::size_t>(options_.shard_index);
-  std::string body = "terms " + std::to_string(tokens.size()) + "\n";
-  for (const std::string& token : tokens) {
-    util::TermId term = view->FindTerm(token);
-    const std::size_t df =
-        term == util::kInvalidTermId ? 0 : view->ShardDf(term, shard);
-    const std::uint32_t max_occurrences =
-        term == util::kInvalidTermId ? 0
-                                     : view->ShardMaxOccurrences(term, shard);
-    body += "T\t";
-    body += token;
-    body += '\t';
-    body += std::to_string(df);
-    body += '\t';
-    body += std::to_string(max_occurrences);
-    body += '\n';
+  ShardStatsReply stats = shard_node_->TermStats(snapshot, keywords);
+  if (stats.terms.empty()) return TextResponse(400, "missing q parameter\n");
+  std::string body = "terms " + std::to_string(stats.terms.size()) + "\n";
+  for (const ShardTermStats& term : stats.terms) {
+    body += "T\t" + term.token + "\t" + std::to_string(term.df) + "\t" +
+            std::to_string(term.max_occurrences) + "\n";
   }
   webapp::HttpResponse response = TextResponse(200, std::move(body));
   response.headers["X-Dash-Generation"] =
@@ -371,81 +433,39 @@ webapp::HttpResponse SearchService::HandleShardStats(
   return response;
 }
 
-webapp::HttpResponse SearchService::HandleStats() {
+void SearchService::WriteStats(StatsJson& json) {
   ServeCounters c = counters();
-  std::function<webapp::HttpServer::Stats()> transport;
   std::function<std::uint64_t()> compactions;
   {
     util::MutexLock lock(stats_mutex_);
-    transport = transport_stats_;
     compactions = compactions_;
   }
-  std::string json = "{\n";
-  auto field = [&json](const char* name, std::uint64_t value, bool last = false) {
-    json += "  \"";
-    json += name;
-    json += "\": ";
-    json += std::to_string(value);
-    json += last ? "\n" : ",\n";
-  };
-  field("generation", c.generation);
-  if (transport != nullptr) {
-    // Called outside stats_mutex_: the provider reaches into HttpServer
-    // (which takes its own locks) and must not nest under ours.
-    webapp::HttpServer::Stats t = transport();
-    field("queue_depth", t.queue_depth);
-    field("queue_capacity", t.queue_capacity);
-    field("accepted", t.accepted);
-    field("shed", t.shed);
-    field("handled", t.handled);
-    field("parse_errors", t.parse_errors);
-  }
-  field("requests_total", c.requests_total);
-  field("ok", c.ok);
-  field("bad_request", c.bad_request);
-  field("not_found", c.not_found);
-  field("unavailable", c.unavailable);
-  field("gateway_timeout", c.gateway_timeout);
-  field("searches", c.searches);
-  json += std::string("  \"cache_enabled\": ") +
-          (cache_ != nullptr ? "true" : "false") + ",\n";
-  field("cache_capacity", options_.cache_capacity);
-  field("cache_hits", c.cache_hits);
-  field("cache_misses", c.cache_misses);
-  field("cache_evicted_superseded", c.cache_evicted_superseded);
+  json.Field("generation", c.generation);
+  json.Field("searches", c.searches);
+  json.Raw("cache_enabled", cache_ != nullptr ? "true" : "false");
+  json.Field("cache_capacity", options_.cache_capacity);
+  json.Field("cache_hits", c.cache_hits);
+  json.Field("cache_misses", c.cache_misses);
+  json.Field("cache_evicted_superseded", c.cache_evicted_superseded);
   // Index-shape counters: live segments in the served snapshot and, when
   // an UpdatableIndex (or any compacting builder) wired its provider, how
   // many compactions produced them.
   SnapshotPtr snapshot = publisher_->Current();
-  field("segments",
-        snapshot != nullptr
-            ? static_cast<std::uint64_t>(snapshot->segment_count())
-            : 0);
-  field("compactions", compactions != nullptr ? compactions() : 0);
-  field("latency_count", c.latency_count);
-  field("latency_p50_us", c.latency_p50_us);
-  field("latency_p99_us", c.latency_p99_us);
-  field("latency_p999_us", c.latency_p999_us);
-  field("latency_max_us", c.latency_max_us);
-  field("workers", static_cast<std::uint64_t>(options_.num_workers));
-  field("shards", static_cast<std::uint64_t>(options_.shards));
-  json += "  \"shard_index\": " + std::to_string(options_.shard_index) + ",\n";
-  field("deadline_ms", static_cast<std::uint64_t>(options_.deadline_ms), true);
-  json += "}\n";
-  webapp::HttpResponse response = TextResponse(200, std::move(json));
-  response.headers["Content-Type"] = "application/json";
-  return response;
+  json.Field("segments", snapshot != nullptr
+                             ? static_cast<std::uint64_t>(
+                                   snapshot->segment_count())
+                             : 0);
+  json.Field("compactions", compactions != nullptr ? compactions() : 0);
+  json.Field("workers", static_cast<std::uint64_t>(options_.num_workers));
+  json.Field("shards", static_cast<std::uint64_t>(options_.shards));
+  json.Raw("shard_index", std::to_string(options_.shard_index));
+  json.Field("deadline_ms", static_cast<std::uint64_t>(options_.deadline_ms));
 }
 
 ServeCounters SearchService::counters() const {
   ServeCounters c;
+  static_cast<FrontCounters&>(c) = front_counters();
   c.generation = publisher_->CurrentGeneration();
-  c.requests_total = requests_total_.load(std::memory_order_relaxed);
-  c.ok = ok_.load(std::memory_order_relaxed);
-  c.bad_request = bad_request_.load(std::memory_order_relaxed);
-  c.not_found = not_found_.load(std::memory_order_relaxed);
-  c.unavailable = unavailable_.load(std::memory_order_relaxed);
-  c.gateway_timeout = gateway_timeout_.load(std::memory_order_relaxed);
   c.searches = searches_.load(std::memory_order_relaxed);
   if (cache_ != nullptr) {
     ResultCache::Stats s = cache_->stats();
@@ -453,75 +473,23 @@ ServeCounters SearchService::counters() const {
     c.cache_misses = s.misses;
     c.cache_evicted_superseded = s.evicted_superseded;
   }
-  c.latency_count = latency_.count();
-  c.latency_p50_us = latency_.Percentile(0.50);
-  c.latency_p99_us = latency_.Percentile(0.99);
-  c.latency_p999_us = latency_.Percentile(0.999);
-  c.latency_max_us = latency_.max();
   return c;
 }
 
-std::shared_ptr<const ShardedEngine> SearchService::ShardedFor(
-    const SnapshotPtr& snapshot) {
-  {
-    util::MutexLock lock(shard_mutex_);
-    if (sharded_ != nullptr &&
-        sharded_->snapshot()->generation() == snapshot->generation()) {
-      return sharded_;
-    }
-  }
-  // Build OUTSIDE the lock: the build is a ParallelFor counting sort of
-  // the posting pool, i.e. it blocks on the shared thread pool —
-  // dash_analyze's lock-block rule (rightly) rejects holding a mutex
-  // across it, and a slow build must not stall requests that could still
-  // serve the previous view. The cost is that several requests racing a
-  // republication may each build once; the freshest build wins the cache
-  // slot and the rest are dropped when their temporary refcount drains.
-  auto built =
-      std::make_shared<const ShardedEngine>(snapshot, options_.shards);
-  {
-    util::MutexLock lock(shard_mutex_);
-    if (sharded_ == nullptr || sharded_->snapshot()->generation() <
-                                   built->snapshot()->generation()) {
-      sharded_ = built;
-    }
-  }
-  // Serve the engine matching the caller's snapshot even if the cache
-  // slot now holds a newer generation — the response's X-Dash-Generation
-  // must match the snapshot this request pinned.
-  return built;
-}
+// ---- SearchServer ----------------------------------------------------
 
 SearchServer::SearchServer(const SnapshotPublisher& publisher,
-                           ServeOptions options) {
-  Init(publisher, options);
-}
+                           ServeOptions options)
+    : service_(std::make_unique<SearchService>(publisher, options)),
+      http_(ServeOverHttp(*service_, options)) {}
 
-SearchServer::SearchServer(SnapshotPtr snapshot, ServeOptions options) {
-  owned_publisher_ = std::make_unique<SnapshotPublisher>(std::move(snapshot));
-  Init(*owned_publisher_, options);
-}
+SearchServer::SearchServer(SnapshotPtr snapshot, ServeOptions options)
+    : owned_publisher_(
+          std::make_unique<SnapshotPublisher>(std::move(snapshot))),
+      service_(std::make_unique<SearchService>(*owned_publisher_, options)),
+      http_(ServeOverHttp(*service_, options)) {}
 
 SearchServer::~SearchServer() { Stop(); }
-
-void SearchServer::Init(const SnapshotPublisher& publisher,
-                        const ServeOptions& options) {
-  service_ = std::make_unique<SearchService>(publisher, options);
-  webapp::HttpServer::Options http_options;
-  http_options.port = options.port;
-  http_options.num_workers = options.num_workers;
-  http_options.queue_capacity = options.queue_capacity;
-  http_options.retry_after_seconds = options.retry_after_seconds;
-  http_ = std::make_unique<webapp::HttpServer>(
-      [service = service_.get()](const webapp::HttpRequest& request,
-                                 std::chrono::steady_clock::time_point
-                                     admitted) {
-        return service->Handle(request, admitted);
-      },
-      http_options);
-  service_->set_transport_stats(
-      [http = http_.get()] { return http->stats(); });
-}
 
 void SearchServer::Start() { http_->Start(); }
 

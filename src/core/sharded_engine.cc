@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
+
+#include "util/tokenizer.h"
 
 namespace dash::core {
 
@@ -53,7 +56,7 @@ ShardedEngine::ShardedEngine(SnapshotPtr snapshot, int num_shards,
 
   // A multi-segment snapshot has no single posting pool to rearrange:
   // materialize its live state as one merged build (same catalog handles,
-  // cold one-time cost — ShardedFor already rebuilds shard views per
+  // cold one-time cost — a ShardNode already rebuilds its view per
   // generation). Single-segment snapshots borrow their index directly.
   if (snapshot_->segment_count() > 1) {
     owned_build_ =
@@ -123,13 +126,17 @@ std::vector<SearchResult> ShardedEngine::Search(
 std::vector<SearchResult> ShardedEngine::SearchShard(
     std::size_t shard, const std::vector<std::string>& keywords, int k,
     std::uint64_t min_page_words, SearchDeadline* deadline) const {
+  // IDF from the whole index — a restricted seed span must not shrink
+  // document frequencies.
+  std::vector<TermPlan> plans;
+  for (const std::string& token : QueryTokens(keywords)) {
+    util::TermId term = index_->FindTerm(token);
+    plans.push_back({index_->IdfId(term), SeedSpan(term, shard)});
+  }
   const IndexSnapshot& snap = *snapshot_;
-  TopKSearcher searcher(
-      *index_, snap.catalog(), snap.graph(), snap.selection(),
-      snap.has_app() ? &snap.app() : nullptr, /*idf=*/nullptr,
-      [this, shard](util::TermId term) { return SeedSpan(term, shard); });
-  return searcher.Search(keywords, k, min_page_words, /*max_seeds=*/0,
-                         deadline);
+  TopKSearcher searcher(snap.catalog(), snap.graph(), snap.selection(),
+                        snap.has_app() ? &snap.app() : nullptr);
+  return searcher.Search(plans, k, min_page_words, /*max_seeds=*/0, deadline);
 }
 
 std::uint32_t ShardedEngine::ShardMaxOccurrences(util::TermId term,
@@ -162,6 +169,92 @@ std::vector<SearchResult> ShardedEngine::MergeShardResults(
     merged.resize(static_cast<std::size_t>(k));
   }
   return merged;
+}
+
+// ---- ShardNode -------------------------------------------------------
+
+ShardNode::ShardNode(const SnapshotPublisher& publisher, int shard_index,
+                     int shard_total)
+    : publisher_(&publisher),
+      shard_index_(shard_index),
+      shard_total_(shard_total) {
+  if (shard_total < 1 || shard_index < 0 || shard_index >= shard_total) {
+    throw std::invalid_argument(
+        "ShardNode: need 0 <= shard_index < shards, got shard_index " +
+        std::to_string(shard_index) + " of shards " +
+        std::to_string(shard_total));
+  }
+}
+
+ShardReply ShardNode::Serve(const SnapshotPtr& snapshot,
+                            const std::vector<std::string>& keywords, int k,
+                            std::uint64_t min_page_words,
+                            SearchDeadline* deadline) {
+  ShardReply reply;
+  if (snapshot == nullptr) return reply;  // pre-publication: not serving
+  reply.results = ViewFor(snapshot)->SearchShard(
+      static_cast<std::size_t>(shard_index_), keywords, k, min_page_words,
+      deadline);
+  reply.ok = true;
+  reply.partial = deadline != nullptr &&
+                  deadline->expired.load(std::memory_order_relaxed);
+  reply.generation = snapshot->generation();
+  return reply;
+}
+
+ShardStatsReply ShardNode::TermStats(const SnapshotPtr& snapshot,
+                                     const std::vector<std::string>& keywords) {
+  ShardStatsReply reply;
+  if (snapshot == nullptr) return reply;
+  std::shared_ptr<const ShardedEngine> view = ViewFor(snapshot);
+  const auto shard = static_cast<std::size_t>(shard_index_);
+  for (const std::string& keyword : keywords) {
+    for (std::string& token : util::Tokenize(keyword)) {
+      ShardTermStats stats;
+      util::TermId term = view->FindTerm(token);
+      if (term != util::kInvalidTermId) {
+        stats.df = view->ShardDf(term, shard);
+        stats.max_occurrences = view->ShardMaxOccurrences(term, shard);
+      }
+      stats.token = std::move(token);
+      reply.terms.push_back(std::move(stats));
+    }
+  }
+  reply.ok = true;
+  reply.generation = snapshot->generation();
+  return reply;
+}
+
+void ShardNode::WarmView(std::shared_ptr<const ShardedEngine> view) {
+  util::MutexLock lock(view_mutex_);
+  if (view_ == nullptr || view_->snapshot()->generation() <
+                              view->snapshot()->generation()) {
+    view_ = std::move(view);
+  }
+}
+
+std::shared_ptr<const ShardedEngine> ShardNode::ViewFor(
+    const SnapshotPtr& snapshot) {
+  {
+    util::MutexLock lock(view_mutex_);
+    if (view_ != nullptr &&
+        view_->snapshot()->generation() == snapshot->generation()) {
+      return view_;
+    }
+  }
+  // Several requests racing a republication may each build once; the
+  // freshest build wins the cache slot and the rest are dropped when their
+  // temporary refcount drains. The caller gets the view of ITS snapshot
+  // even if the slot now holds a newer one.
+  auto built = std::make_shared<const ShardedEngine>(snapshot, shard_total_);
+  {
+    util::MutexLock lock(view_mutex_);
+    if (view_ == nullptr || view_->snapshot()->generation() <
+                                built->snapshot()->generation()) {
+      view_ = built;
+    }
+  }
+  return built;
 }
 
 }  // namespace dash::core

@@ -18,17 +18,20 @@
 // Nothing is deep-copied per shard. A shard is just a view: a per-fragment
 // shard assignment plus, for every (term, shard) pair, a contiguous
 // fragment-ascending slice of one rearranged posting pool that the
-// searcher uses as its seed span (TopKSearcher::SeedSpanSource). Since the
+// searcher takes as the term's plan (TermPlan, topk_search.h). Since the
 // graph never crosses equality groups, a shard's searcher can probe the
 // global structures and still stay entirely inside its slice. Scores are
 // globally comparable for free: IDF comes from the shared global index.
 //
-// Scatter-gather runs on a persistent util::ThreadPool (per-query thread
-// spawning costs more than a warm shard search). Results are independent
-// of the pool size: each shard writes its own result slot and the gather
-// merge is a deterministic sort.
+// Two consumers. ShardedEngine::Search is the single-process reference:
+// it scatters to every shard on a persistent util::ThreadPool and merges,
+// and the oracles, `dash_cli --shards` and the benchmark compare routed
+// answers against it. ShardNode (below) is the only thing that *serves* a
+// slice: the router's in-process transport calls it directly, and a
+// shard-node SearchService wraps it behind HTTP (core/search_router.h).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -36,6 +39,8 @@
 
 #include "core/dash_engine.h"
 #include "util/analysis_annotations.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace dash::core {
@@ -74,11 +79,10 @@ class ShardedEngine {
                                    SearchDeadline* deadline = nullptr) const;
 
   // One scatter leg: the local top-k of `shard` alone — exactly what that
-  // shard contributes to Search's gather. This is the serving entry of a
-  // *shard node* (core/search_router.h): a node answering SearchShard for
-  // its own shard index reproduces, after the router's MergePartials, the
-  // single-process Search byte for byte. Runs on the calling thread (no
-  // scatter, no pool).
+  // shard contributes to Search's gather. This is what a ShardNode serves:
+  // a node answering SearchShard for its own shard index reproduces, after
+  // the router's MergePartials, the single-process Search byte for byte.
+  // Runs on the calling thread (no scatter, no pool).
   std::vector<SearchResult> SearchShard(std::size_t shard,
                                         const std::vector<std::string>& keywords,
                                         int k, std::uint64_t min_page_words,
@@ -137,6 +141,80 @@ class ShardedEngine {
   // start of term's shard-s group, entry shard_count_ its end.
   std::vector<std::uint32_t> seed_offsets_;
   util::ThreadPool* pool_ = nullptr;  // not owned; nullptr = shared pool
+};
+
+// One replica's answer to one scatter leg.
+struct ShardReply {
+  bool ok = false;       // a live replica answered (possibly with a partial)
+  bool partial = false;  // the replica's own deadline truncated the list
+  std::uint64_t generation = 0;  // snapshot generation the replica served
+  std::vector<SearchResult> results;  // the replica's local top-k
+};
+
+// Per-token statistics of one shard slice (one /shardstats line).
+struct ShardTermStats {
+  std::string token;               // normalized query token
+  std::uint64_t df = 0;            // fragments of this shard containing it
+  std::uint32_t max_occurrences = 0;  // max per-fragment occurrence count
+};
+
+// A /shardstats answer: the slice statistics plus the generation they
+// were computed against (stats and results can skew across replicas like
+// everything else).
+struct ShardStatsReply {
+  bool ok = false;
+  std::uint64_t generation = 0;
+  std::vector<ShardTermStats> terms;
+};
+
+// A shard node: one fragment slice of whatever its publisher publishes.
+// Every answer is computed on a snapshot the caller pinned, so one request
+// pins once and its generation, cache key and body agree. Replicas of one
+// shard each hold their own ShardNode over their own publisher, so
+// generations skew exactly as real nodes' would.
+class ShardNode {
+ public:
+  // Serves shard `shard_index` of `shard_total` (0 <= index < total, else
+  // std::invalid_argument) from `publisher`, which must outlive the node.
+  ShardNode(const SnapshotPublisher& publisher, int shard_index,
+            int shard_total);
+
+  // The slice's local top-k on `snapshot`; a null snapshot (nothing
+  // published yet) answers !ok. `deadline` as in TopKSearcher::Search.
+  ShardReply Serve(const SnapshotPtr& snapshot,
+                   const std::vector<std::string>& keywords, int k,
+                   std::uint64_t min_page_words,
+                   SearchDeadline* deadline = nullptr);
+  // Per normalized token of `keywords` (duplicates kept, in order), the
+  // slice's df and max occurrence count on `snapshot` — the router's
+  // shard-selection input.
+  ShardStatsReply TermStats(const SnapshotPtr& snapshot,
+                            const std::vector<std::string>& keywords);
+
+  const SnapshotPublisher& publisher() const { return *publisher_; }
+  int shard_index() const { return shard_index_; }
+  int shard_total() const { return shard_total_; }
+
+  // Pre-warms the per-generation view cache with an already-built engine
+  // (used while its generation matches the published one). Lets a test
+  // cluster share ONE ShardedEngine across all in-sync replicas instead
+  // of building shards×replicas identical views.
+  void WarmView(std::shared_ptr<const ShardedEngine> view)
+      DASH_EXCLUDES(view_mutex_);
+
+ private:
+  // The sharded view of `snapshot`, built lazily and cached per
+  // generation. The build runs OUTSIDE the lock: it blocks in
+  // ParallelFor (dash_analyze's lock-block rule) and must not stall
+  // requests still serving the previous view.
+  std::shared_ptr<const ShardedEngine> ViewFor(const SnapshotPtr& snapshot)
+      DASH_EXCLUDES(view_mutex_);
+
+  const SnapshotPublisher* const publisher_;
+  const int shard_index_;
+  const int shard_total_;
+  mutable util::Mutex view_mutex_;
+  std::shared_ptr<const ShardedEngine> view_ DASH_GUARDED_BY(view_mutex_);
 };
 
 }  // namespace dash::core

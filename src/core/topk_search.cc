@@ -167,71 +167,39 @@ inline bool SingletonLess(FragmentHandle f,
 
 }  // namespace
 
-TopKSearcher::TopKSearcher(const InvertedFragmentIndex& index,
-                           const FragmentCatalog& catalog,
-                           const FragmentGraph& graph,
-                           std::vector<sql::SelectionAttribute> selection,
-                           const webapp::WebAppInfo* app, IdfProvider idf,
-                           SeedSpanSource seed_spans)
-    : index_(&index),
-      catalog_(catalog),
-      graph_(graph),
-      selection_(std::move(selection)),
-      app_(app),
-      idf_(std::move(idf)),
-      seed_spans_(std::move(seed_spans)) {}
-
-TopKSearcher::TopKSearcher(TermPlanSource plan, const FragmentCatalog& catalog,
-                           const FragmentGraph& graph,
-                           std::vector<sql::SelectionAttribute> selection,
-                           const webapp::WebAppInfo* app)
-    : index_(nullptr),
-      catalog_(catalog),
-      graph_(graph),
-      selection_(std::move(selection)),
-      app_(app),
-      plan_(std::move(plan)) {}
-
-std::vector<SearchResult> TopKSearcher::Search(
-    const std::vector<std::string>& keywords, int k,
-    std::uint64_t min_page_words, std::size_t max_seeds,
-    SearchDeadline* deadline) const {
-  // Normalize the query with the indexing tokenizer, resolve each token to
-  // its interned TermId once, and drop duplicates.
-  std::vector<std::string> terms;
-  std::vector<util::TermId> term_ids;
+std::vector<std::string> QueryTokens(const std::vector<std::string>& keywords) {
+  std::vector<std::string> tokens;
   for (const std::string& raw : keywords) {
-    for (std::string& tok : util::Tokenize(raw)) {
-      if (std::find(terms.begin(), terms.end(), tok) == terms.end()) {
-        if (index_ != nullptr) term_ids.push_back(index_->FindTerm(tok));
-        terms.push_back(std::move(tok));
+    for (std::string& token : util::Tokenize(raw)) {
+      if (std::find(tokens.begin(), tokens.end(), token) == tokens.end()) {
+        tokens.push_back(std::move(token));
       }
     }
   }
+  return tokens;
+}
+
+TopKSearcher::TopKSearcher(
+    const FragmentCatalog& catalog, const FragmentGraph& graph,
+    const std::vector<sql::SelectionAttribute>& selection,
+    const webapp::WebAppInfo* app)
+    : catalog_(catalog), graph_(graph), selection_(selection), app_(app) {}
+
+std::vector<SearchResult> TopKSearcher::Search(
+    const std::vector<TermPlan>& plans, int k, std::uint64_t min_page_words,
+    std::size_t max_seeds, SearchDeadline* deadline) const {
   std::vector<SearchResult> results;
-  if (terms.empty() || k <= 0) return results;
+  if (plans.empty() || k <= 0) return results;
   static const std::vector<FragmentHandle> kNoCandidates;
 
   // Per-term IDF and fragment-sorted postings (line 1 of Algorithm 1),
-  // borrowed straight from the index pools.
-  std::vector<TermPostings> postings(terms.size());
+  // borrowed from whatever pools the caller resolved them against.
+  std::vector<TermPostings> postings(plans.size());
   std::vector<FragmentHandle> relevant;
   std::size_t relevant_cap = 0;
-  for (std::size_t t = 0; t < terms.size(); ++t) {
-    if (plan_) {
-      // Plan-driven path: one resolution supplies both the global IDF and
-      // the live by-fragment span (the multi-segment gather).
-      TermPlan plan = plan_(terms[t]);
-      postings[t].idf = plan.idf;
-      postings[t].by_frag = plan.postings;
-    } else {
-      // IDF always comes from the full index (or the explicit override) —
-      // a restricted seed span must not shrink document frequencies.
-      postings[t].idf = idf_ ? idf_(terms[t]) : index_->IdfId(term_ids[t]);
-      postings[t].by_frag = seed_spans_
-                                ? seed_spans_(term_ids[t])
-                                : index_->PostingsByFragment(term_ids[t]);
-    }
+  for (std::size_t t = 0; t < plans.size(); ++t) {
+    postings[t].idf = plans[t].idf;
+    postings[t].by_frag = plans[t].postings;
     relevant_cap += postings[t].by_frag.size();
     if (postings[t].by_frag.size() * 8 >= catalog_.size()) {
       postings[t].dense.assign(catalog_.size(), 0);
@@ -269,13 +237,13 @@ std::vector<SearchResult> TopKSearcher::Search(
   // where the old sorted array cost O(n log n) per query.
   std::vector<Seed> seeds;
   seeds.reserve(relevant.size());
-  std::vector<std::uint64_t> seed_occ(terms.size());
+  std::vector<std::uint64_t> seed_occ(plans.size());
   // `relevant` and every by_frag span are fragment-ascending, so seed
   // occurrences come from a linear merge-walk (one cursor per term)
   // instead of a binary search per (fragment, term) pair.
-  std::vector<std::size_t> cursor(terms.size(), 0);
+  std::vector<std::size_t> cursor(plans.size(), 0);
   for (FragmentHandle f : relevant) {
-    for (std::size_t t = 0; t < terms.size(); ++t) {
+    for (std::size_t t = 0; t < plans.size(); ++t) {
       const auto& by_frag = postings[t].by_frag;
       std::size_t& c = cursor[t];
       while (c < by_frag.size() && by_frag[c].fragment < f) ++c;
@@ -329,8 +297,8 @@ std::vector<SearchResult> TopKSearcher::Search(
     Entry e;
     e.p = acquire_payload();
     e.p->members.push_back(seed.fragment);
-    e.p->occ.resize(terms.size());
-    for (std::size_t t = 0; t < terms.size(); ++t) {
+    e.p->occ.resize(plans.size());
+    for (std::size_t t = 0; t < plans.size(); ++t) {
       e.p->occ[t] = postings[t].OccurrencesIn(seed.fragment);
     }
     e.set_hash = MixHandle(seed.fragment);
@@ -479,7 +447,7 @@ std::vector<SearchResult> TopKSearcher::Search(
     for (FragmentHandle c : candidates) {
       cand_occ.assign(head.p->occ.begin(), head.p->occ.end());
       bool is_relevant = false;
-      for (std::size_t t = 0; t < terms.size(); ++t) {
+      for (std::size_t t = 0; t < plans.size(); ++t) {
         std::uint32_t o = postings[t].OccurrencesIn(c);
         if (o != 0) {
           cand_occ[t] += o;

@@ -26,8 +26,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,60 +63,38 @@ struct SearchDeadline {
   std::atomic<bool> expired{false};
 };
 
-// Supplies IDF values; lets a caller override the index's own document
-// frequencies (e.g. to score a pruned index with the unpruned df).
-using IdfProvider = std::function<double(const std::string& keyword)>;
-
-// Restricts a query term's fragment-sorted posting span. The sharded
-// engine passes per-(term, shard) views into one shared pool so each
-// shard seeds — and probes — only its own fragments while borrowing the
-// global index, catalog and graph (no per-shard index copy). The returned
-// span must be fragment-ascending and a subset of the index's own
-// PostingsByFragment span; util::kInvalidTermId must yield an empty span.
-using SeedSpanSource =
-    std::function<std::span<const Posting>(util::TermId term)>;
-
-// Everything the searcher needs for one normalized query token when no
-// single InvertedFragmentIndex exists: the exact global IDF and a
-// fragment-ascending posting span over catalog handles. A multi-segment
-// IndexSnapshot supplies these by gathering across its segments
-// (IndexSnapshot::GatherTerm); the span must stay valid for the duration
-// of the Search call that requested it. An unknown token yields idf 0 and
-// an empty span.
+// One query token as the searcher consumes it: the exact global IDF and a
+// fragment-ascending posting span over catalog handles. Callers resolve
+// their own plans — a snapshot through IndexSnapshot::GatherTerm (its
+// single segment's index, or the multi-segment gather), a shard through its
+// seed span (ShardedEngine::SearchShard). A span may be restricted to a
+// subset of the term's postings only when every graph-reachable occurrence
+// of the term lies inside it, as equality-group sharding guarantees; the
+// IDF stays global either way. An unknown token has idf 0 and an empty
+// span. The span must stay valid for the Search call it is passed to.
 struct TermPlan {
   double idf = 0;
   std::span<const Posting> postings;  // fragment ascending
 };
-using TermPlanSource = std::function<TermPlan(std::string_view token)>;
+
+// The query's distinct tokens, in first-occurrence order: each keyword
+// string is tokenized with the indexing tokenizer, so "Burger Experts" is
+// two tokens. TopKSearcher::Search takes one TermPlan per token, in this
+// order — scores sum per-term contributions in it.
+std::vector<std::string> QueryTokens(const std::vector<std::string>& keywords);
 
 class TopKSearcher {
  public:
   // All referenced objects must outlive the searcher. `app` may be null
   // (no URL formulation). `selection` must match the catalog's identifier
-  // layout (Crawler::selection()). `idf` overrides the index's own IDF
-  // when provided; `seed_spans` overrides the per-term posting spans (see
-  // SeedSpanSource — only sound when every graph-reachable occurrence of
-  // each term lies inside the restricted span, as equality-group sharding
-  // guarantees).
-  TopKSearcher(const InvertedFragmentIndex& index,
-               const FragmentCatalog& catalog, const FragmentGraph& graph,
-               std::vector<sql::SelectionAttribute> selection,
-               const webapp::WebAppInfo* app = nullptr,
-               IdfProvider idf = nullptr, SeedSpanSource seed_spans = nullptr);
-
-  // Plan-driven form: no inverted index at all — every token resolves
-  // through `plan` (see TermPlanSource). The walk itself (seeding,
-  // expansion, scoring, output order) is identical, so a plan that
-  // reproduces an index's IDFs and by-fragment spans reproduces its
-  // answers bit-for-bit.
-  TopKSearcher(TermPlanSource plan, const FragmentCatalog& catalog,
-               const FragmentGraph& graph,
-               std::vector<sql::SelectionAttribute> selection,
+  // layout (Crawler::selection()).
+  TopKSearcher(const FragmentCatalog& catalog, const FragmentGraph& graph,
+               const std::vector<sql::SelectionAttribute>& selection,
                const webapp::WebAppInfo* app = nullptr);
 
-  // Returns at most k db-pages relevant to `keywords` (each input string
-  // is tokenized with the indexing tokenizer, so "Burger Experts" queries
-  // two keywords). `min_page_words` is the paper's size threshold s.
+  // Returns at most k db-pages relevant to the query whose tokens `plans`
+  // resolve (one per QueryTokens entry, in that order). `min_page_words`
+  // is the paper's size threshold s.
   //
   // `max_seeds` caps the number of relevant fragments seeded into the
   // queue (0 = all, the paper's Algorithm 1). Hot keywords can match a
@@ -132,21 +110,17 @@ class TopKSearcher {
   // DASH_HOT_PATH: the innermost serving loop. dash_analyze proves the
   // walk below allocation-free (modulo the audited arena warm-up),
   // lock-free and log-free — see DESIGN.md §13.
-  std::vector<SearchResult> Search(const std::vector<std::string>& keywords,
-                                   int k, std::uint64_t min_page_words,
+  std::vector<SearchResult> Search(const std::vector<TermPlan>& plans, int k,
+                                   std::uint64_t min_page_words,
                                    std::size_t max_seeds = 0,
                                    SearchDeadline* deadline = nullptr) const
       DASH_HOT_PATH;
 
  private:
-  const InvertedFragmentIndex* index_;  // null on the plan-driven path
   const FragmentCatalog& catalog_;
   const FragmentGraph& graph_;
-  std::vector<sql::SelectionAttribute> selection_;
+  const std::vector<sql::SelectionAttribute>& selection_;
   const webapp::WebAppInfo* app_;
-  IdfProvider idf_;
-  SeedSpanSource seed_spans_;
-  TermPlanSource plan_;
 };
 
 }  // namespace dash::core

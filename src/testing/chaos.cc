@@ -154,8 +154,8 @@ TestCluster::TestCluster(core::SnapshotPtr snapshot,
         nodes_.push_back(std::make_unique<core::ShardNode>(
             publisher, shard, options.shards));
         nodes_.back()->WarmView(reference_);
-        transport = std::make_unique<core::InProcessShardTransport>(
-            nodes_.back().get(), /*deadline_ms=*/0);
+        transport =
+            std::make_unique<core::InProcessShardTransport>(nodes_.back().get());
       }
       // Per-replica chaos seed: mixes topology position into the run
       // seed, so one replica's verdict stream never aliases another's.

@@ -865,15 +865,19 @@ OracleReport CheckInstance(const RandomInstance& inst,
   }
 
   // ---- Invariant: the HTTP serving tier == the engine, byte for byte. ----
-  // A SearchServer over the engine's own snapshot must answer every query
-  // with exactly RenderResults of the direct engine answer — same bytes,
-  // same generation header. This closes the loop across the whole serving
-  // stack: socket transport, wire parsing, query-param decoding, and the
-  // service's engine binding.
+  // A cache-enabled SearchServer over the engine's own snapshot must answer
+  // every query with exactly RenderResults of the direct engine answer —
+  // same bytes, same generation header. This closes the loop across the
+  // whole serving stack: socket transport, wire parsing, query-param
+  // decoding, the result cache, and the service's engine binding. Each
+  // query also sends one longer probe (three SampleKeywords draws) in two
+  // orders: scores sum per term in query order, so only a cache keyed on
+  // request order answers both correctly.
   if (options.check_server) {
     guard("server-vs-engine", [&] {
       core::ServeOptions serve_options;
       serve_options.num_workers = 2;
+      serve_options.cache_capacity = 64;
       core::SearchServer server(engine->snapshot(), serve_options);
       try {
         server.Start();
@@ -882,10 +886,10 @@ OracleReport CheckInstance(const RandomInstance& inst,
       }
       static const int kChoices[] = {1, 3, 10, 25};
       static const std::uint64_t kSizes[] = {0, 5, 80, 100000};
-      for (int q = 0; q < options.server_queries; ++q) {
-        std::vector<std::string> keywords = SampleKeywords(rng);
-        int k = kChoices[rng.Below(std::size(kChoices))];
-        std::uint64_t s = kSizes[rng.Below(std::size(kSizes))];
+      const std::string want_generation =
+          std::to_string(engine->snapshot()->generation());
+      auto check = [&](const std::vector<std::string>& keywords, int k,
+                       std::uint64_t s) {
         std::string target = "/search";
         char sep = '?';
         for (const std::string& kw : keywords) {
@@ -900,12 +904,12 @@ OracleReport CheckInstance(const RandomInstance& inst,
         auto response = webapp::FetchOverLoopback(server.port(), target);
         if (!response.has_value()) {
           fail(ctx + ": no response over loopback");
-          continue;
+          return;
         }
         if (response->status != 200) {
           fail(ctx + ": status " + std::to_string(response->status) +
                " != 200");
-          continue;
+          return;
         }
         std::string expected = core::SearchService::RenderResults(
             engine->Search(keywords, k, s));
@@ -915,13 +919,26 @@ OracleReport CheckInstance(const RandomInstance& inst,
                " vs " + std::to_string(expected.size()) + " bytes)");
         }
         auto generation = response->headers.find("X-Dash-Generation");
-        std::string want_generation =
-            std::to_string(engine->snapshot()->generation());
         if (generation == response->headers.end() ||
             generation->second != want_generation) {
           fail(ctx + ": X-Dash-Generation header missing or != " +
                want_generation);
         }
+      };
+      for (int q = 0; q < options.server_queries; ++q) {
+        std::vector<std::string> keywords = SampleKeywords(rng);
+        int k = kChoices[rng.Below(std::size(kChoices))];
+        std::uint64_t s = kSizes[rng.Below(std::size(kSizes))];
+        check(keywords, k, s);
+        std::vector<std::string> probe;
+        for (int draw = 0; draw < 3; ++draw) {
+          for (std::string& kw : SampleKeywords(rng)) {
+            probe.push_back(std::move(kw));
+          }
+        }
+        check(probe, k, s);
+        std::reverse(probe.begin(), probe.end());
+        check(probe, k, s);
       }
       server.Stop();
     });

@@ -15,8 +15,9 @@
 // generations strictly increase), ShardedEngine == unsharded,
 // serialized-then-loaded == in-memory, fragment-graph edges == the
 // definition-checked empty-box combinability test, HTTP server == engine
-// (a core::SearchServer over the same snapshot answers every query
-// byte-identically to the direct engine call, over a real socket), and
+// (a cache-enabled core::SearchServer over the same snapshot answers every
+// query — in every keyword order — byte-identically to the direct engine
+// call, over a real socket), and
 // the replicated-shard cluster invariants: router over N shard nodes ==
 // ShardedEngine byte-for-byte at zero failures, and == the exact merge
 // of the survivors with f shards killed (bounded degradation).
@@ -57,8 +58,10 @@ struct OracleOptions {
   // dash_fuzz enables it behind --mixed-writes.
   bool check_mixed_writes = false;
   int mixed_write_ops = 6;
-  // HTTP server == engine over a loopback socket; skipped silently when
-  // the environment forbids binding 127.0.0.1.
+  // HTTP server == engine over a loopback socket, with the result cache
+  // on and each query followed by a three-draw probe sent in two keyword
+  // orders; skipped silently when the environment forbids binding
+  // 127.0.0.1.
   bool check_server = true;
   int server_queries = 4;
   // Replicated-shard cluster (testing/chaos.h TestCluster, in-process):

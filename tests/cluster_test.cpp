@@ -224,9 +224,9 @@ TEST(Cluster, StaleReplicaWidensGenerationMinMax) {
   ShardNode fresh_node(fresh_publisher, 1, 2);
   std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(2);
   transports[0].push_back(
-      std::make_unique<InProcessShardTransport>(&stale_node, 0));
+      std::make_unique<InProcessShardTransport>(&stale_node));
   transports[1].push_back(
-      std::make_unique<InProcessShardTransport>(&fresh_node, 0));
+      std::make_unique<InProcessShardTransport>(&fresh_node));
   SearchRouter router(std::move(transports), RouterOptions{});
   RouterService service(router, RouterOptions{});
 

@@ -632,7 +632,7 @@ TEST(Tree, RepositoryIsAnalyzeClean) {
        {"TopKSearcher::Search", "ShardedEngine::MergeShardResults",
         "SearchService::HandleSearch", "ResultCache::Lookup",
         "SnapshotPublisher::Current", "IndexSnapshot::GatherTerm",
-        "RouterService::HandleRouted", "SearchRouter::MergePartials"}) {
+        "RouterService::HandleSearch", "SearchRouter::MergePartials"}) {
     EXPECT_TRUE(HasEntry(r.hot_roots, root)) << root;
   }
   // The audited escape set: exactly the two reviewed allowances (the

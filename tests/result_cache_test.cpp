@@ -1,14 +1,18 @@
-// Result cache tests: hit/miss accounting, LRU eviction, generation
-// invalidation, thread safety, and the seed-cap search option.
+// Result cache tests: hit/miss accounting, request-order keys, LRU
+// eviction, generation invalidation, thread safety, and the seed-cap
+// search option.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/index_update.h"
 #include "core/result_cache.h"
+#include "core/search_server.h"
 #include "testing/fooddb.h"
 #include "tpch/tpch.h"
 #include "sql/parser.h"
@@ -48,12 +52,58 @@ TEST(ResultCache, KeyCoversAllQueryDimensions) {
   EXPECT_EQ(caching.cache().stats().hits, 0u);
 }
 
-TEST(ResultCache, KeywordOrderDoesNotMatter) {
-  DashEngine engine = BuildFoodDbEngine();
+// The searcher sums per-term score contributions in query order, so with
+// three or more terms a reordered query can render different bytes. The
+// cache therefore keys on request order: once the sorted order is cached,
+// every other order must still be answered with its own bytes.
+TEST(ResultCache, KeywordOrderIsPartOfTheKey) {
+  webapp::WebAppInfo app;
+  app.name = "Q1";
+  app.uri = "example.com/q1";
+  app.query = sql::Parse(
+      "SELECT * FROM (region JOIN nation) JOIN customer "
+      "WHERE region.rid = $r AND acctbal BETWEEN $min AND $max");
+  app.codec =
+      webapp::QueryStringCodec({{"r", "r"}, {"l", "min"}, {"u", "max"}});
+  DashEngine engine =
+      DashEngine::Build(tpch::Generate(tpch::Scale::kSmall), app);
+  SnapshotPublisher publisher(engine.snapshot());
+  ServeOptions options;
+  options.cache_capacity = 16;
+  SearchService service(publisher, options);
+  auto target = [](const std::vector<std::string>& keywords) {
+    std::string t = "/search?k=10&s=0";
+    for (const std::string& keyword : keywords) t += "&q=" + keyword;
+    return webapp::ParseUrl(t);
+  };
+
+  std::vector<std::string> keywords = {"even", "express", "furiously"};
+  const std::string sorted_body =
+      SearchService::RenderResults(engine.Search(keywords, 10, 0));
+  ASSERT_EQ(service.Handle(target(keywords), std::chrono::steady_clock::now())
+                .body,
+            sorted_body);
+  bool some_order_differs = false;
+  while (std::next_permutation(keywords.begin(), keywords.end())) {
+    const std::string want =
+        SearchService::RenderResults(engine.Search(keywords, 10, 0));
+    some_order_differs = some_order_differs || want != sorted_body;
+    EXPECT_EQ(
+        service.Handle(target(keywords), std::chrono::steady_clock::now())
+            .body,
+        want);
+  }
+  // The query is only a witness if the orders really render differently.
+  EXPECT_TRUE(some_order_differs);
+  EXPECT_EQ(service.counters().cache_hits, 0u);
+
+  // The same order again is a hit.
   CachingEngine caching(engine, 16);
   (void)caching.Search({"burger", "fries"}, 2, 20);
   (void)caching.Search({"fries", "burger"}, 2, 20);
+  (void)caching.Search({"fries", "burger"}, 2, 20);
   EXPECT_EQ(caching.cache().stats().hits, 1u);
+  EXPECT_EQ(caching.cache().stats().misses, 2u);
 }
 
 TEST(ResultCache, LruEvicts) {

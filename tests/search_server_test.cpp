@@ -1,7 +1,8 @@
 // End-to-end serving tests: core::SearchService routing and parameter
-// handling (no sockets), core::SearchServer over a real loopback socket
-// (responses byte-identical to direct engine calls), cache/shard serving
-// configurations, and — the designated race test for the serving tier —
+// handling (no sockets), the request front a node shares with the router,
+// core::SearchServer over a real loopback socket (responses byte-identical
+// to direct engine calls), the cache, and — the designated race test for
+// the serving tier —
 // concurrent HTTP readers racing UpdatableIndex publications: generations
 // observed over the wire must be monotone per client, every body must
 // byte-match a quiescent re-render of the exact snapshot generation the
@@ -11,13 +12,17 @@
 #include <array>
 #include <atomic>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/crawler.h"
 #include "core/index_update.h"
+#include "core/search_router.h"
 #include "core/search_server.h"
+#include "testing/chaos.h"
 #include "testing/fooddb.h"
 #include "util/string_util.h"
 #include "webapp/http_server.h"
@@ -60,6 +65,99 @@ TEST(SearchService, RoutesAndParameterValidation) {
   EXPECT_EQ(counters.requests_total, 7u);
   EXPECT_EQ(counters.bad_request, 5u);
   EXPECT_EQ(counters.not_found, 1u);
+
+  // A node serves the whole index or one existing slice: shards without a
+  // valid index, and an index without shards, name no slice and throw.
+  ServeOptions scatter;
+  scatter.shards = 4;
+  EXPECT_THROW(SearchService(publisher, scatter), std::invalid_argument);
+  scatter.shard_index = 4;
+  EXPECT_THROW(SearchService(publisher, scatter), std::invalid_argument);
+  ServeOptions orphan;
+  orphan.shard_index = 1;
+  EXPECT_THROW(SearchService(publisher, orphan), std::invalid_argument);
+}
+
+// One front, one grammar: a node and a router reject the same malformed
+// requests with the same status and the same body.
+TEST(SearchFront, NodeAndRouterRejectMalformedRequestsAlike) {
+  DashEngine engine = MakeEngine();
+  SnapshotPublisher publisher(engine.snapshot());
+  SearchService node(publisher, ServeOptions{});
+  dash::testing::ClusterOptions cluster_options;
+  cluster_options.shards = 2;
+  dash::testing::TestCluster cluster(engine.snapshot(), cluster_options);
+
+  for (const char* target :
+       {"/search", "/search?k=3", "/search?q=burger&k=0",
+        "/search?q=burger&k=100001", "/search?q=burger&k=abc",
+        "/search?q=burger&s=-1", "/search?q=burger&s=4611686018427387905",
+        "/no/such/path"}) {
+    webapp::HttpResponse from_node = node.Handle(Get(target), Now());
+    webapp::HttpResponse from_router =
+        cluster.service().Handle(Get(target), Now());
+    EXPECT_GE(from_node.status, 400) << target;
+    EXPECT_EQ(from_node.status, from_router.status) << target;
+    EXPECT_EQ(from_node.body, from_router.body) << target;
+  }
+  EXPECT_EQ(node.counters().bad_request, 7u);
+  EXPECT_EQ(cluster.service().counters().bad_request, 7u);
+  EXPECT_EQ(node.counters().not_found, 1u);
+  EXPECT_EQ(cluster.service().counters().not_found, 1u);
+  // The bounds are inclusive: k=100000 and s=2^62 parse.
+  EXPECT_EQ(node.Handle(Get("/search?q=burger&k=100000&s=4611686018427387904"),
+                        Now())
+                .status,
+            200);
+}
+
+// The /stats key list of each front, in order: the front's transport and
+// status fields first, then the endpoint's own.
+std::vector<std::string> StatsKeys(const std::string& json) {
+  std::vector<std::string> keys;
+  for (std::size_t at = json.find("\n  \""); at != std::string::npos;
+       at = json.find("\n  \"", at + 1)) {
+    std::size_t start = at + 4;
+    keys.push_back(json.substr(start, json.find('"', start) - start));
+  }
+  return keys;
+}
+
+TEST(SearchFront, StatsKeyListsArePinned) {
+  const std::vector<std::string> front = {
+      "queue_depth",    "queue_capacity",  "accepted",       "shed",
+      "handled",        "parse_errors",    "requests_total", "ok",
+      "bad_request",    "not_found",       "unavailable",    "gateway_timeout",
+      "latency_count",  "latency_p50_us",  "latency_p99_us", "latency_p999_us",
+      "latency_max_us"};
+  auto transport = [] { return webapp::HttpServer::Stats{}; };
+
+  DashEngine engine = MakeEngine();
+  SnapshotPublisher publisher(engine.snapshot());
+  SearchService node(publisher, ServeOptions{});
+  node.set_transport_stats(transport);
+  std::vector<std::string> node_keys = front;
+  for (const char* key :
+       {"generation", "searches", "cache_enabled", "cache_capacity",
+        "cache_hits", "cache_misses", "cache_evicted_superseded", "segments",
+        "compactions", "workers", "shards", "shard_index", "deadline_ms"}) {
+    node_keys.push_back(key);
+  }
+  EXPECT_EQ(StatsKeys(node.Handle(Get("/stats"), Now()).body), node_keys);
+
+  dash::testing::ClusterOptions cluster_options;
+  cluster_options.shards = 2;
+  dash::testing::TestCluster cluster(engine.snapshot(), cluster_options);
+  cluster.service().set_transport_stats(transport);
+  std::vector<std::string> router_keys = front;
+  for (const char* key :
+       {"degraded", "routed", "shards", "replicas_total", "leg_latency_count",
+        "leg_latency_p50_us", "leg_latency_p99_us", "leg_latency_max_us",
+        "shard_deadline_ms"}) {
+    router_keys.push_back(key);
+  }
+  EXPECT_EQ(StatsKeys(cluster.service().Handle(Get("/stats"), Now()).body),
+            router_keys);
 }
 
 TEST(SearchService, SearchBodyMatchesEngineByteForByte) {
@@ -163,9 +261,10 @@ TEST(SearchService, CacheAndShardsServeIdenticalBytes) {
   ServeOptions cached_options;
   cached_options.cache_capacity = 16;
   SearchService cached(publisher, cached_options);
-  ServeOptions sharded_options;
-  sharded_options.shards = 8;
-  SearchService sharded(publisher, sharded_options);
+  // Sharded serving is a router over shard nodes.
+  dash::testing::ClusterOptions cluster_options;
+  cluster_options.shards = 8;
+  dash::testing::TestCluster sharded(engine.snapshot(), cluster_options);
 
   for (const char* target :
        {"/search?q=burger&k=5&s=0", "/search?q=burger&k=5&s=0",
@@ -173,7 +272,8 @@ TEST(SearchService, CacheAndShardsServeIdenticalBytes) {
         "/search?q=burger&k=25&s=100000"}) {
     webapp::HttpResponse expect = plain.Handle(Get(target), Now());
     EXPECT_EQ(cached.Handle(Get(target), Now()).body, expect.body) << target;
-    EXPECT_EQ(sharded.Handle(Get(target), Now()).body, expect.body) << target;
+    EXPECT_EQ(sharded.service().Handle(Get(target), Now()).body, expect.body)
+        << target;
   }
   EXPECT_GT(cached.counters().cache_hits, 0u);
 }
@@ -218,9 +318,10 @@ TEST(SearchServer, EndToEndOverLoopback) {
 }
 
 // The serving tier's concurrency contract, over the wire: HTTP readers
-// race a writer that publishes through UpdatableIndex. Every response
-// must name a generation that was actually published, generations must be
-// monotone per sequential client, and each body must byte-match re-running
+// race a writer that publishes through UpdatableIndex, alternating between
+// a whole-index node and a shard node. Every response must name a
+// generation that was actually published, generations must be monotone per
+// sequential client and server, and each body must byte-match re-running
 // the same query against the exact snapshot of that generation — i.e. no
 // torn responses, ever.
 TEST(SearchServer, ConcurrentReadersSeeMonotoneUntornGenerations) {
@@ -230,8 +331,17 @@ TEST(SearchServer, ConcurrentReadersSeeMonotoneUntornGenerations) {
   ServeOptions options;
   options.num_workers = 3;
   SearchServer server(updatable.publisher(), options);
+  // One more input: a shard node over the same publisher, whose slice
+  // answers must match the sharded view of the generation they name.
+  constexpr int kShards = 2;
+  constexpr int kShardIndex = 1;
+  ServeOptions shard_options = options;
+  shard_options.shards = kShards;
+  shard_options.shard_index = kShardIndex;
+  SearchServer shard_server(updatable.publisher(), shard_options);
   try {
     server.Start();
+    shard_server.Start();
   } catch (const std::exception& e) {
     GTEST_SKIP() << "no loopback networking: " << e.what();
   }
@@ -244,6 +354,7 @@ TEST(SearchServer, ConcurrentReadersSeeMonotoneUntornGenerations) {
   struct Observation {
     std::uint64_t generation = 0;
     std::size_t probe = 0;
+    bool shard = false;  // answered by the shard node
     std::string body;
   };
   constexpr int kReaders = 3;
@@ -259,9 +370,10 @@ TEST(SearchServer, ConcurrentReadersSeeMonotoneUntornGenerations) {
     readers.emplace_back([&, t] {
       std::size_t iteration = 0;
       while (!done.load(std::memory_order_acquire)) {
-        std::size_t probe = iteration++ % probes.size();
-        auto response =
-            webapp::FetchOverLoopback(server.port(), probes[probe].first);
+        std::size_t probe = iteration % probes.size();
+        bool shard = (iteration++ / probes.size()) % 2 == 1;
+        auto response = webapp::FetchOverLoopback(
+            shard ? shard_server.port() : server.port(), probes[probe].first);
         if (!response.has_value() || response->status != 200) {
           reader_errors[t] = "fetch failed at iteration " +
                              std::to_string(iteration);
@@ -276,7 +388,7 @@ TEST(SearchServer, ConcurrentReadersSeeMonotoneUntornGenerations) {
           return;
         }
         observed[t].push_back({static_cast<std::uint64_t>(generation), probe,
-                               std::move(response->body)});
+                               shard, std::move(response->body)});
         progress[t].fetch_add(1, std::memory_order_release);
       }
     });
@@ -316,6 +428,17 @@ TEST(SearchServer, ConcurrentReadersSeeMonotoneUntornGenerations) {
   done.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
   server.Stop();
+  shard_server.Stop();
+
+  // Sharded views of the published snapshots, built once per generation.
+  std::map<std::uint64_t, std::unique_ptr<ShardedEngine>> sharded;
+  auto shard_view = [&](std::uint64_t generation) -> const ShardedEngine& {
+    std::unique_ptr<ShardedEngine>& view = sharded[generation];
+    if (view == nullptr) {
+      view = std::make_unique<ShardedEngine>(published[generation], kShards);
+    }
+    return *view;
+  };
 
   for (int t = 0; t < kReaders; ++t) {
     SCOPED_TRACE("reader " + std::to_string(t));
@@ -330,9 +453,12 @@ TEST(SearchServer, ConcurrentReadersSeeMonotoneUntornGenerations) {
       last_generation = obs.generation;
       // No torn responses: the body byte-matches a quiescent re-render of
       // the very snapshot the response claims to have served from.
+      const std::vector<std::string>& keywords = probes[obs.probe].second;
       std::string replay = SearchService::RenderResults(
-          published[obs.generation]->Search(probes[obs.probe].second, 3, 0));
-      ASSERT_EQ(obs.body, replay);
+          obs.shard ? shard_view(obs.generation)
+                          .SearchShard(kShardIndex, keywords, 3, 0)
+                    : published[obs.generation]->Search(keywords, 3, 0));
+      ASSERT_EQ(obs.body, replay) << (obs.shard ? "shard node" : "node");
     }
   }
 }

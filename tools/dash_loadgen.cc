@@ -13,7 +13,7 @@
 //
 // Without --port it benchmarks the full serving matrix in-process: a
 // core::SearchServer per cell over one shared snapshot, cells =
-// {1,4,8} worker threads x {cache off/on} x {shards 0/8}, and writes
+// {1,4,8} worker threads x {cache off/on}, and writes
 // BENCH_serving.json with QPS and exact p50/p99/p999 latency per cell
 // (percentiles come from the raw sample vector, not the server's
 // histogram). With --port it drives an already-running external server
@@ -32,7 +32,7 @@
 // (testing/chaos.h), so the r2 rows show replication holding recall at
 // 1.0 where the r1 rows lose shards.
 //
-//   dash_loadgen --users 4 --requests 200          # full 12-cell matrix
+//   dash_loadgen --users 4 --requests 200          # full 6-cell matrix
 //   dash_loadgen --smoke                           # ~2s CI version
 //   dash_loadgen --check BENCH_serving.json        # schema gate (CI)
 //   dash_loadgen --port 8080 --users 8 --rate 500  # external, open loop
@@ -82,7 +82,6 @@ struct Flags {
 struct CellSpec {
   int threads;
   bool cache;
-  int shards;
   std::string name;
 };
 
@@ -90,12 +89,8 @@ std::vector<CellSpec> MatrixCells() {
   std::vector<CellSpec> cells;
   for (int t : {1, 4, 8}) {
     for (int c : {0, 1}) {
-      for (int sh : {0, 8}) {
-        cells.push_back({t, c != 0, sh,
-                         "t" + std::to_string(t) + "/cache" +
-                             std::to_string(c) + "/shards" +
-                             std::to_string(sh)});
-      }
+      cells.push_back(
+          {t, c != 0, "t" + std::to_string(t) + "/cache" + std::to_string(c)});
     }
   }
   return cells;
@@ -608,7 +603,7 @@ int main(int argc, char** argv) {
                          : CheckServingJson(flags.check);
   }
   if (flags.smoke) {
-    // CI budget: all 12 cells in roughly two seconds total.
+    // CI budget: all 6 cells in roughly a second total.
     flags.users = 2;
     flags.requests = 6;
     flags.scale = dash::tpch::Scale::kTiny;
@@ -664,21 +659,20 @@ int main(int argc, char** argv) {
     options.num_workers = cell.threads;
     options.queue_capacity = 128;
     options.cache_capacity = cell.cache ? 256 : 0;
-    options.shards = cell.shards;
     options.default_k = flags.k;
     options.default_s = flags.s;
     options.deadline_ms = flags.deadline_ms;
     dash::core::SearchServer server(engine.snapshot(), options);
     server.Start();
-    // Warm up outside the measurement: first contact builds the sharded
-    // view and faults in the listener path.
+    // Warm up outside the measurement: first contact faults in the
+    // listener path.
     for (int w = 0; w < 2; ++w) {
       dash::util::SplitMix64 rng(flags.seed + 17 * (w + 1));
       dash::webapp::FetchOverLoopback(server.port(), targets.Pick(rng));
     }
     CellResult r = RunCell(server.port(), targets, flags);
     server.Stop();
-    std::printf("%-20s qps=%8.1f p50=%6lluus p99=%6lluus p999=%6lluus "
+    std::printf("%-12s qps=%8.1f p50=%6lluus p99=%6lluus p999=%6lluus "
                 "(n=%llu shed=%llu err=%llu)\n",
                 cell.name.c_str(), r.qps,
                 static_cast<unsigned long long>(r.p50_us),

@@ -4,14 +4,15 @@
 // deterministic TPC-H-style dataset, publishes the resulting immutable
 // IndexSnapshot, and serves it over HTTP via core::SearchServer — the
 // multi-threaded listener with bounded admission control, per-request
-// deadlines, optional result cache and optional sharded scatter-gather.
-// With --shard-index it becomes a cluster shard node (DESIGN.md §15):
-// /search answers the local top-k of that fragment slice only and
-// /shardstats reports the slice's per-term statistics, ready to sit
-// behind a core::SearchRouter.
+// deadlines and an optional result cache. With --shards N --shard-index I
+// it becomes a cluster shard node (DESIGN.md §15): /search answers the
+// local top-k of fragment slice I of N only and /shardstats reports the
+// slice's per-term statistics, ready to sit behind a core::SearchRouter.
+// The two flags come together; a sharded layout is served by shard nodes
+// behind a router, never by one process.
 //
 //   dash_serve --port 8080 --workers 4 --queue 64
-//              --cache 256 --shards 8 --deadline-ms 50
+//              --cache 256 --deadline-ms 50
 //              --query 1 --scale small
 //   dash_serve --port 8431 --shards 4 --shard-index 2   # shard node
 //
@@ -79,10 +80,11 @@ int Usage(const char* argv0) {
       "  --workers N      HTTP worker threads, >= 1     (default 4)\n"
       "  --queue N        admission queue slots, >= 1   (default 64)\n"
       "  --cache N        result-cache entries, 0 = off (default 0)\n"
-      "  --shards N       scatter-gather shards, 0 = off(default 0)\n"
-      "  --shard-index N  serve ONLY shard N of --shards as a cluster\n"
+      "  --shards N       shards of the cluster layout  (default 0 = whole\n"
+      "                   index); needs --shard-index\n"
+      "  --shard-index I  serve ONLY shard I of --shards as a cluster\n"
       "                   shard node (/search = local top-k, /shardstats\n"
-      "                   = slice stats); requires 0 <= N < --shards\n"
+      "                   = slice stats); requires 0 <= I < --shards\n"
       "  --deadline-ms N  per-request budget, 0 = none  (default 0)\n"
       "  --query 1|2|3    paper application query       (default 1)\n"
       "  --scale S        tiny|small|medium|large       (default tiny)\n"
@@ -134,6 +136,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
       return Usage(argv[0]);
     }
+  }
+  if (options.shards > 0 && options.shard_index < 0) {
+    std::fprintf(stderr,
+                 "--shards requires --shard-index (this process serves one "
+                 "slice as a shard node; route the whole layout through a "
+                 "core::SearchRouter)\n");
+    return 2;
   }
   if (options.shard_index >= 0 && options.shards <= 0) {
     std::fprintf(stderr,
