@@ -8,18 +8,16 @@
 #include <utility>
 
 #include "util/string_util.h"
-#include "util/tokenizer.h"
 #include "webapp/http.h"
 
 namespace dash::core {
 
 namespace {
 
-// /search (or /shardstats) target for one scatter leg.
-std::string SearchTarget(const char* path,
-                         const std::vector<std::string>& keywords, int k,
-                         std::uint64_t min_page_words, bool with_limits) {
-  std::string target = path;
+// The /search target of one scatter leg.
+std::string SearchTarget(const std::vector<std::string>& keywords, int k,
+                         std::uint64_t min_page_words) {
+  std::string target = "/search";
   char sep = '?';
   for (const std::string& kw : keywords) {
     target += sep;
@@ -27,10 +25,8 @@ std::string SearchTarget(const char* path,
     target += "q=";
     target += util::UrlEncode(kw);
   }
-  if (with_limits) {
-    target += "&k=" + std::to_string(k);
-    target += "&s=" + std::to_string(min_page_words);
-  }
+  target += "&k=" + std::to_string(k);
+  target += "&s=" + std::to_string(min_page_words);
   return target;
 }
 
@@ -59,9 +55,7 @@ ShardReply HttpShardTransport::Route(const std::vector<std::string>& keywords,
                                      int k, std::uint64_t min_page_words) {
   ShardReply reply;
   std::optional<webapp::HttpResponse> response = webapp::FetchOverLoopback(
-      port_,
-      SearchTarget("/search", keywords, k, min_page_words,
-                   /*with_limits=*/true));
+      port_, SearchTarget(keywords, k, min_page_words));
   if (!response.has_value()) return reply;
   const bool partial =
       response->status == 504 && response->headers.contains("X-Dash-Partial");
@@ -72,58 +66,6 @@ ShardReply HttpShardTransport::Route(const std::vector<std::string>& keywords,
   reply.results = std::move(*results);
   reply.ok = true;
   reply.partial = partial;
-  reply.generation = HeaderGeneration(*response);
-  return reply;
-}
-
-ShardStatsReply HttpShardTransport::RouteStats(
-    const std::vector<std::string>& keywords) {
-  ShardStatsReply reply;
-  std::optional<webapp::HttpResponse> response = webapp::FetchOverLoopback(
-      port_, SearchTarget("/shardstats", keywords, 0, 0,
-                          /*with_limits=*/false));
-  if (!response.has_value() || response->status != 200) return reply;
-  // Body: "terms N" then N lines "T\t<token>\t<df>\t<maxocc>".
-  const std::string& body = response->body;
-  std::size_t pos = body.find('\n');
-  if (pos == std::string::npos) return reply;
-  std::string_view header(body.data(), pos);
-  constexpr std::string_view kPrefix = "terms ";
-  std::int64_t count = 0;
-  if (header.substr(0, kPrefix.size()) != kPrefix ||
-      !util::ParseInt64(header.substr(kPrefix.size()), &count) || count < 0) {
-    return reply;
-  }
-  std::size_t cursor = pos + 1;
-  for (std::int64_t i = 0; i < count; ++i) {
-    std::size_t eol = body.find('\n', cursor);
-    if (eol == std::string::npos) return reply;
-    std::string_view line(body.data() + cursor, eol - cursor);
-    cursor = eol + 1;
-    std::size_t t1 = line.find('\t');
-    std::size_t t2 = t1 == std::string_view::npos
-                         ? std::string_view::npos
-                         : line.find('\t', t1 + 1);
-    std::size_t t3 = t2 == std::string_view::npos
-                         ? std::string_view::npos
-                         : line.find('\t', t2 + 1);
-    if (t3 == std::string_view::npos || line.substr(0, t1) != "T") {
-      return reply;
-    }
-    std::int64_t df = 0;
-    std::int64_t max_occurrences = 0;
-    if (!util::ParseInt64(line.substr(t2 + 1, t3 - t2 - 1), &df) || df < 0 ||
-        !util::ParseInt64(line.substr(t3 + 1), &max_occurrences) ||
-        max_occurrences < 0) {
-      return reply;
-    }
-    ShardTermStats stats;
-    stats.token = std::string(line.substr(t1 + 1, t2 - t1 - 1));
-    stats.df = static_cast<std::uint64_t>(df);
-    stats.max_occurrences = static_cast<std::uint32_t>(max_occurrences);
-    reply.terms.push_back(std::move(stats));
-  }
-  reply.ok = true;
   reply.generation = HeaderGeneration(*response);
   return reply;
 }
@@ -212,57 +154,9 @@ ReplicaHealth SearchRouter::replica_health(std::size_t shard,
 SearchRouter::LegOutcome SearchRouter::RunLeg(
     std::size_t shard, const std::vector<std::string>& keywords, int k,
     std::uint64_t min_page_words) {
-  // A query whose keywords normalize to zero tokens has a provably empty
-  // answer everywhere; probing /shardstats for it would 400 — route the
-  // search directly so coverage stays full and the reply matches the
-  // single-process engine (which also answers empty).
-  bool probe_stats = false;
-  if (options_.use_shard_stats) {
-    for (const std::string& keyword : keywords) {
-      if (util::CountTokens(keyword) > 0) {
-        probe_stats = true;
-        break;
-      }
-    }
-  }
   for (std::size_t index : ReplicaOrder(shard)) {
     Replica& replica = *replicas_[shard][index];
     const auto started = std::chrono::steady_clock::now();
-    auto elapsed_us = [&started] {
-      return static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - started)
-              .count());
-    };
-    if (probe_stats) {
-      ShardStatsReply stats;
-      try {
-        stats = replica.transport->RouteStats(keywords);
-      } catch (...) {
-        stats.ok = false;
-      }
-      if (!stats.ok) {
-        RecordLegFailure(replica);
-        continue;
-      }
-      bool any_hit = false;
-      for (const ShardTermStats& term : stats.terms) {
-        if (term.df > 0) {
-          any_hit = true;
-          break;
-        }
-      }
-      if (!any_hit) {
-        // Exact skip: no query token seeds in this shard, so its local
-        // top-k is empty — answer without searching.
-        RecordLegSuccess(replica, shard, elapsed_us());
-        LegOutcome outcome;
-        outcome.answered = true;
-        outcome.skipped = true;
-        outcome.generation = stats.generation;
-        return outcome;
-      }
-    }
     ShardReply reply;
     try {
       reply = replica.transport->Route(keywords, k, min_page_words);
@@ -270,7 +164,12 @@ SearchRouter::LegOutcome SearchRouter::RunLeg(
       reply.ok = false;
     }
     if (reply.ok) {
-      RecordLegSuccess(replica, shard, elapsed_us());
+      RecordLegSuccess(
+          replica, shard,
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - started)
+                  .count()));
       LegOutcome outcome;
       outcome.answered = true;
       outcome.partial = reply.partial;
@@ -314,7 +213,6 @@ RoutedResult SearchRouter::RouteQuery(const std::vector<std::string>& keywords,
     LegOutcome leg = legs[shard].get();
     if (!leg.answered) continue;
     ++routed.shards_answered;
-    if (leg.skipped) ++routed.shards_skipped;
     routed.partial = routed.partial || leg.partial;
     if (first_generation) {
       routed.generation_min = leg.generation;

@@ -7,43 +7,36 @@
 //   shard node — a ShardNode (core/sharded_engine.h), reached in process
 //     or through a SearchService in shard-node mode (ServeOptions::
 //     shard_index >= 0) over HTTP: it owns its own SnapshotPublisher,
-//     answers /search with the local top-k of ONE fragment slice, reports
-//     its slice's per-term statistics on /shardstats, and advances its
-//     generation independently of every other node.
+//     answers /search with the local top-k of ONE fragment slice, and
+//     advances its generation independently of every other node.
 //
 //   router — SearchRouter scatter-gathers one query across all shards.
 //     Per shard it picks ONE replica by a health/latency score (EWMA
-//     latency × an exponential consecutive-failure penalty), fails over
-//     to the next replica on transport failure, enforces a per-shard
-//     deadline, and merges whatever answered with MergePartials — the
-//     tolerant generalization of ShardedEngine::MergeShardResults.
-//     RouterService/RouterServer put the router behind the same request
-//     front (SearchFront) a single node's SearchService uses.
+//     latency × an exponential consecutive-failure penalty), sends it one
+//     /search, fails over to the next replica on transport failure,
+//     enforces a per-shard deadline, and merges whatever answered with
+//     MergePartials — the tolerant generalization of
+//     ShardedEngine::MergeShardResults. RouterService/RouterServer put the
+//     router behind the same request front (SearchFront) a single node's
+//     SearchService uses.
 //
 //   chaos — testing/chaos.h wraps ShardTransports to inject crashes,
 //     stragglers, and stale-generation replicas deterministically from a
 //     seed; the router must degrade exactly as this header specifies.
 //
-// Degradation contract: a query over t shards with a answering (answered
-// = searched + exactly-skipped, see below) returns precisely
-// MergePartials of the answering shards' local top-k lists. With a == t
-// that is byte-identical to ShardedEngine::Search (the cluster≡engine
-// oracle); with a < t it is the best possible answer from the surviving
-// shards (the bounded-degradation oracle), never an error. Every router
-// response carries coverage and skew headers:
+// Degradation contract: a query over t shards with a answering returns
+// precisely MergePartials of the answering shards' local top-k lists. A
+// shard with no posting for any query token answers too, with an empty
+// list. With a == t that is byte-identical to ShardedEngine::Search (the
+// cluster≡engine oracle); with a < t it is the best possible answer from
+// the surviving shards (the bounded-degradation oracle), never an error.
+// Every router response carries coverage and skew headers:
 //
 //   X-Dash-Shards-Answered: <a>/<t>     always
 //   X-Dash-Degraded: 1                  when a < t
 //   X-Dash-Generation-Min / -Max        over the answering replicas —
 //     replicas advance independently, so one response may mix
 //     generations; min==max certifies a consistent snapshot view.
-//
-// Shard selection: before searching, a leg may probe its replica's
-// /shardstats for the query's normalized tokens. A shard whose df is 0
-// for EVERY token cannot contribute (no seed posting → empty local
-// top-k), so the leg skips the search exactly — it still counts as
-// answered, with the probe's generation. Non-zero stats (df, max
-// occurrence count) are surfaced per shard for routing diagnostics.
 //
 // Status mapping: 200 answered (degraded or not), 503 + Retry-After when
 // NO shard answered, 504 + X-Dash-Partial when an answering replica's
@@ -67,6 +60,17 @@
 
 namespace dash::core {
 
+// The reply of ShardTransport::RouteStats, kept with it for the
+// benchmark's tracing decorator (dashbench/src/stack.cc), which reads
+// `ok`, `terms` and `df`; nothing in src/ produces one.
+struct ShardTermStats {
+  std::uint64_t df = 0;
+};
+struct ShardStatsReply {
+  bool ok = false;
+  std::vector<ShardTermStats> terms;
+};
+
 // Transport to ONE replica of ONE shard. Implementations block (sockets,
 // injected straggler sleeps), so the router only ever calls them from its
 // own scatter pool — never from the shared process pool and never under a
@@ -79,9 +83,11 @@ class ShardTransport {
   virtual ShardReply Route(const std::vector<std::string>& keywords, int k,
                            std::uint64_t min_page_words) DASH_BLOCKING = 0;
 
-  // The replica's per-token slice statistics for shard selection.
-  virtual ShardStatsReply RouteStats(
-      const std::vector<std::string>& keywords) DASH_BLOCKING = 0;
+  // Nothing in src/ calls or overrides this. It stays only because the
+  // benchmark's tracing decorator (dashbench/src/stack.cc) overrides it.
+  virtual ShardStatsReply RouteStats(const std::vector<std::string>&) {
+    return {};
+  }
 
   // Diagnostic label ("shard2/replica0", "127.0.0.1:8431").
   virtual std::string description() const = 0;
@@ -98,10 +104,6 @@ class InProcessShardTransport : public ShardTransport {
     return node_->Serve(node_->publisher().Current(), keywords, k,
                         min_page_words);
   }
-  ShardStatsReply RouteStats(
-      const std::vector<std::string>& keywords) override {
-    return node_->TermStats(node_->publisher().Current(), keywords);
-  }
   std::string description() const override;
 
  private:
@@ -109,18 +111,16 @@ class InProcessShardTransport : public ShardTransport {
 };
 
 // Transport to a loopback-HTTP shard node (a SearchServer running with
-// ServeOptions::shard_index >= 0). Speaks the /search and /shardstats
-// wire formats; result bodies decode through ParseRenderedResults, whose
-// %.17g round-trip keeps the cluster≡engine oracle byte-exact across the
-// HTTP hop.
+// ServeOptions::shard_index >= 0). Each leg is one /search request; the
+// result body decodes through ParseRenderedResults, whose %.17g
+// round-trip keeps the cluster≡engine oracle byte-exact across the HTTP
+// hop.
 class HttpShardTransport : public ShardTransport {
  public:
   explicit HttpShardTransport(int port) : port_(port) {}
 
   ShardReply Route(const std::vector<std::string>& keywords, int k,
                    std::uint64_t min_page_words) override DASH_BLOCKING;
-  ShardStatsReply RouteStats(const std::vector<std::string>& keywords)
-      override DASH_BLOCKING;
   std::string description() const override;
 
  private:
@@ -133,9 +133,6 @@ struct RouterOptions : FrontOptions {
   // transport call finishes on the scatter pool in the background).
   // 0 = wait for every leg.
   int shard_deadline_ms = 0;
-  // Probe /shardstats and skip shards whose df is 0 for every query
-  // token (exact — such a shard's local top-k is provably empty).
-  bool use_shard_stats = true;
 };
 
 // What one routed query produced (RouterService turns this into the HTTP
@@ -143,8 +140,7 @@ struct RouterOptions : FrontOptions {
 struct RoutedResult {
   std::vector<SearchResult> results;
   int shards_total = 0;
-  int shards_answered = 0;  // searched + exactly-skipped
-  int shards_skipped = 0;   // df-0 exact skips (subset of answered)
+  int shards_answered = 0;
   bool partial = false;     // any answering leg was deadline-truncated
   std::uint64_t generation_min = 0;  // over answering replicas; 0 when none
   std::uint64_t generation_max = 0;
@@ -204,7 +200,6 @@ class SearchRouter {
   // What one leg (one shard's attempt chain) reports to the gather.
   struct LegOutcome {
     bool answered = false;
-    bool skipped = false;  // answered via an exact df-0 skip
     bool partial = false;
     std::uint64_t generation = 0;
     std::vector<SearchResult> results;

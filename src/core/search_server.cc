@@ -101,7 +101,7 @@ webapp::HttpResponse SearchFront::Handle(
   } else if (request.path.empty() || request.path == "/") {
     response = TextResponse(200, banner_);
   } else {
-    response = HandlePath(request);
+    response = TextResponse(404, "unknown path\n");
   }
   switch (response.status) {
     case 200:
@@ -125,10 +125,6 @@ webapp::HttpResponse SearchFront::Handle(
       break;
   }
   return response;
-}
-
-webapp::HttpResponse SearchFront::HandlePath(const webapp::HttpRequest&) {
-  return TextResponse(404, "unknown path\n");
 }
 
 webapp::HttpResponse SearchFront::HandleStats() {
@@ -405,32 +401,6 @@ std::vector<SearchResult> SearchService::ExecuteSearch(
                    snapshot->generation(), results);
   }
   return results;
-}
-
-// Shard-node statistics probe. Cold path like /stats: a router calls this
-// once per leg, never from a hot root.
-webapp::HttpResponse SearchService::HandlePath(
-    const webapp::HttpRequest& request) {
-  if (request.path != "/shardstats") return SearchFront::HandlePath(request);
-  if (shard_node_ == nullptr) return TextResponse(400, "not a shard node\n");
-  SnapshotPtr snapshot = publisher_->Current();
-  if (snapshot == nullptr) return TextResponse(503, "no snapshot published\n");
-  std::vector<std::string> keywords;
-  for (auto& [field, value] :
-       webapp::ParseQueryParams(request.EffectiveQueryString())) {
-    if (field == "q") keywords.push_back(std::move(value));
-  }
-  ShardStatsReply stats = shard_node_->TermStats(snapshot, keywords);
-  if (stats.terms.empty()) return TextResponse(400, "missing q parameter\n");
-  std::string body = "terms " + std::to_string(stats.terms.size()) + "\n";
-  for (const ShardTermStats& term : stats.terms) {
-    body += "T\t" + term.token + "\t" + std::to_string(term.df) + "\t" +
-            std::to_string(term.max_occurrences) + "\n";
-  }
-  webapp::HttpResponse response = TextResponse(200, std::move(body));
-  response.headers["X-Dash-Generation"] =
-      std::to_string(snapshot->generation());
-  return response;
 }
 
 void SearchService::WriteStats(StatsJson& json) {

@@ -13,9 +13,9 @@
 //   SearchService — answers /search against whatever IndexSnapshot is
 //     currently published: the whole index, or one shard slice through a
 //     ShardNode (shard-node mode). Adds the per-request deadline (504 with
-//     the safe partial top-k), the generation-keyed result cache and the
-//     /shardstats probe. It holds no sockets and no threads, so tests and
-//     oracles can call Handle() directly.
+//     the safe partial top-k) and the generation-keyed result cache. It
+//     holds no sockets and no threads, so tests and oracles can call
+//     Handle() directly.
 //
 //   SearchServer — SearchService behind a webapp::HttpServer (worker
 //     pool + bounded admission queue with 503 shedding). One object is a
@@ -24,9 +24,10 @@
 //
 // Request grammar (all parameters URL-encoded):
 //   GET /search?q=<kw>[&q=<kw>...]&k=<int>&s=<int>   top-k search
-//   GET /shardstats?q=<kw>[&q=<kw>...]               shard-node slice stats
 //   GET /stats                                        counters as JSON
 //   GET /healthz                                      liveness probe
+//
+// Any other path answers 404.
 //
 // /search answers 200 with the canonical result rendering (one line per
 // db-page; RenderResults — the byte-exact format the server≡engine oracle
@@ -74,10 +75,9 @@ struct ServeOptions : FrontOptions {
   std::size_t cache_capacity = 0;   // result-cache entries; 0 = cache off
   // Shard-node mode (core/search_router.h): with 0 <= shard_index < shards
   // this node serves ONLY shard `shard_index` of `shards` — /search
-  // answers the local top-k of that slice (one scatter leg), and
-  // /shardstats reports the slice's per-term df/max-occurrence statistics
-  // so a router can do shard selection. Both unset (0 and -1) serve the
-  // whole index; any other combination is rejected at construction.
+  // answers the local top-k of that slice (one scatter leg). Both unset
+  // (0 and -1) serve the whole index; any other combination is rejected
+  // at construction.
   int shards = 0;
   int shard_index = -1;
   // Test hook: artificial delay (per /search request, before the engine
@@ -147,11 +147,10 @@ class StatsJson {
 };
 
 // The request front shared by SearchService and RouterService. Handle()
-// dispatches /search to the endpoint, answers /stats, /healthz and / itself
-// and hands any other path to HandlePath (404 by default). Counting is by
-// response status on every path, every 503 gets Retry-After and every 504
-// X-Dash-Partial, and every /search not rejected with 400 is timed from
-// admission.
+// dispatches /search to the endpoint and answers /stats, /healthz, / and
+// every other path (404) itself. Counting is by response status on every
+// path, every 503 gets Retry-After and every 504 X-Dash-Partial, and every
+// /search not rejected with 400 is timed from admission.
 class SearchFront {
  public:
   SearchFront(const SearchFront&) = delete;
@@ -182,8 +181,6 @@ class SearchFront {
   virtual webapp::HttpResponse HandleSearch(
       const webapp::HttpRequest& request,
       std::chrono::steady_clock::time_point admitted) = 0;
-  // Any path the front does not serve itself.
-  virtual webapp::HttpResponse HandlePath(const webapp::HttpRequest& request);
   // The endpoint's own /stats fields, written after the front's.
   virtual void WriteStats(StatsJson& json) = 0;
 
@@ -259,10 +256,6 @@ class SearchService : public SearchFront {
   webapp::HttpResponse HandleSearch(
       const webapp::HttpRequest& request,
       std::chrono::steady_clock::time_point admitted) override DASH_HOT_PATH;
-  // Shard-node statistics endpoint (/shardstats?q=...): per normalized
-  // token, this shard's df and max occurrence count — the router's shard-
-  // selection input. 400 outside shard-node mode.
-  webapp::HttpResponse HandlePath(const webapp::HttpRequest& request) override;
   void WriteStats(StatsJson& json) override DASH_EXCLUDES(stats_mutex_);
 
   // The sanctioned slow path: everything a cache miss is allowed to do —

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/tokenizer.h"
-
 namespace dash::core {
 
 namespace {
@@ -139,15 +137,6 @@ std::vector<SearchResult> ShardedEngine::SearchShard(
   return searcher.Search(plans, k, min_page_words, /*max_seeds=*/0, deadline);
 }
 
-std::uint32_t ShardedEngine::ShardMaxOccurrences(util::TermId term,
-                                                 std::size_t shard) const {
-  std::uint32_t max_occurrences = 0;
-  for (const Posting& p : SeedSpan(term, shard)) {
-    if (p.occurrences > max_occurrences) max_occurrences = p.occurrences;
-  }
-  return max_occurrences;
-}
-
 std::vector<SearchResult> ShardedEngine::MergeShardResults(
     std::vector<std::vector<SearchResult>> per_shard, int k) {
   // Merge by score and keep k. Every shard reports *global* fragment
@@ -198,29 +187,6 @@ ShardReply ShardNode::Serve(const SnapshotPtr& snapshot,
   reply.ok = true;
   reply.partial = deadline != nullptr &&
                   deadline->expired.load(std::memory_order_relaxed);
-  reply.generation = snapshot->generation();
-  return reply;
-}
-
-ShardStatsReply ShardNode::TermStats(const SnapshotPtr& snapshot,
-                                     const std::vector<std::string>& keywords) {
-  ShardStatsReply reply;
-  if (snapshot == nullptr) return reply;
-  std::shared_ptr<const ShardedEngine> view = ViewFor(snapshot);
-  const auto shard = static_cast<std::size_t>(shard_index_);
-  for (const std::string& keyword : keywords) {
-    for (std::string& token : util::Tokenize(keyword)) {
-      ShardTermStats stats;
-      util::TermId term = view->FindTerm(token);
-      if (term != util::kInvalidTermId) {
-        stats.df = view->ShardDf(term, shard);
-        stats.max_occurrences = view->ShardMaxOccurrences(term, shard);
-      }
-      stats.token = std::move(token);
-      reply.terms.push_back(std::move(stats));
-    }
-  }
-  reply.ok = true;
   reply.generation = snapshot->generation();
   return reply;
 }

@@ -88,21 +88,6 @@ class ShardedEngine {
                                         int k, std::uint64_t min_page_words,
                                         SearchDeadline* deadline = nullptr) const;
 
-  // Per-(term, shard) statistics for router-side shard selection: the
-  // document frequency of `term` within `shard` (how many of the shard's
-  // fragments contain it) and the maximum per-fragment occurrence count.
-  // A shard whose df is 0 for every query term can be skipped exactly —
-  // no relevant fragment means no seeds and hence an empty local top-k.
-  std::size_t ShardDf(util::TermId term, std::size_t shard) const {
-    return SeedSpan(term, shard).size();
-  }
-  std::uint32_t ShardMaxOccurrences(util::TermId term, std::size_t shard) const;
-
-  // Term id for router stats probes (util::kInvalidTermId when absent).
-  util::TermId FindTerm(std::string_view token) const {
-    return index_->FindTerm(token);
-  }
-
   // Gather half of Search: merges per-shard top-k lists by (score desc,
   // fragments asc) and truncates to k. Pure compute on already-materialized
   // results — dash_analyze enforces DASH_HOT_PATH purity here (the scatter
@@ -151,22 +136,6 @@ struct ShardReply {
   std::vector<SearchResult> results;  // the replica's local top-k
 };
 
-// Per-token statistics of one shard slice (one /shardstats line).
-struct ShardTermStats {
-  std::string token;               // normalized query token
-  std::uint64_t df = 0;            // fragments of this shard containing it
-  std::uint32_t max_occurrences = 0;  // max per-fragment occurrence count
-};
-
-// A /shardstats answer: the slice statistics plus the generation they
-// were computed against (stats and results can skew across replicas like
-// everything else).
-struct ShardStatsReply {
-  bool ok = false;
-  std::uint64_t generation = 0;
-  std::vector<ShardTermStats> terms;
-};
-
 // A shard node: one fragment slice of whatever its publisher publishes.
 // Every answer is computed on a snapshot the caller pinned, so one request
 // pins once and its generation, cache key and body agree. Replicas of one
@@ -185,11 +154,6 @@ class ShardNode {
                    const std::vector<std::string>& keywords, int k,
                    std::uint64_t min_page_words,
                    SearchDeadline* deadline = nullptr);
-  // Per normalized token of `keywords` (duplicates kept, in order), the
-  // slice's df and max occurrence count on `snapshot` — the router's
-  // shard-selection input.
-  ShardStatsReply TermStats(const SnapshotPtr& snapshot,
-                            const std::vector<std::string>& keywords);
 
   const SnapshotPublisher& publisher() const { return *publisher_; }
   int shard_index() const { return shard_index_; }

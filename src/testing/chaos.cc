@@ -103,12 +103,6 @@ core::ShardReply ChaosTransport::Route(
   return inner_->Route(keywords, k, min_page_words);
 }
 
-core::ShardStatsReply ChaosTransport::RouteStats(
-    const std::vector<std::string>& keywords) {
-  if (InjectBeforeCall()) return {};
-  return inner_->RouteStats(keywords);
-}
-
 std::string ChaosTransport::description() const {
   std::string mode;
   if (assignment_.dead) mode += "+dead";
@@ -176,7 +170,6 @@ TestCluster::TestCluster(core::SnapshotPtr snapshot,
   router_options.default_k = options.default_k;
   router_options.default_s = options.default_s;
   router_options.shard_deadline_ms = options.shard_deadline_ms;
-  router_options.use_shard_stats = options.use_shard_stats;
   router_ = std::make_unique<core::SearchRouter>(std::move(transports),
                                                  router_options);
   service_ = std::make_unique<core::RouterService>(*router_, router_options);

@@ -947,9 +947,8 @@ OracleReport CheckInstance(const RandomInstance& inst,
   // ---- Invariant: the replicated-shard cluster degrades exactly. ----
   // Zero failures: a router over N in-process shard nodes must answer
   // byte-identically to the single-process ShardedEngine over the same
-  // snapshot, with full coverage and zero generation skew. The identity
-  // holds through the router's df-based shard skipping (a skipped shard's
-  // local top-k is provably empty).
+  // snapshot, with full coverage and zero generation skew. A shard with no
+  // posting for any query token answers too, with an empty local top-k.
   if (options.check_cluster) {
     static const int kChoices[] = {1, 3, 10, 25};
     static const std::uint64_t kSizes[] = {0, 5, 80, 100000};

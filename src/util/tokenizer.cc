@@ -44,12 +44,6 @@ std::vector<std::string> Tokenize(std::string_view text) {
   return out;
 }
 
-std::size_t CountTokens(std::string_view text) {
-  std::size_t n = 0;
-  ForEachToken(text, [&n](std::string_view) { ++n; });
-  return n;
-}
-
 void TokenCounter::Add(std::string_view text, std::size_t multiplier) {
   if (multiplier == 0) return;
   ForEachToken(text, [this, multiplier](std::string_view tok) {

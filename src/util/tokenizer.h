@@ -18,10 +18,6 @@ namespace dash::util {
 // Tokenizes `text` into lowercase keywords.
 std::vector<std::string> Tokenize(std::string_view text);
 
-// Number of keywords in `text` (same rule as Tokenize, without
-// materializing the tokens).
-std::size_t CountTokens(std::string_view text);
-
 // Accumulates `keyword -> occurrence count` over multiple texts.
 class TokenCounter {
  public:

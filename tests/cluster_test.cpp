@@ -111,7 +111,7 @@ TEST(Cluster, ZeroFailureByteIdentityOverHttp) {
     webapp::HttpResponse response =
         cluster->service().Handle(Get(Target(keywords, 5, 10)), Now());
     ASSERT_EQ(response.status, 200);
-    // The full wire path — /shardstats probe, /search, RenderResults →
+    // The full wire path — one /search per shard, RenderResults →
     // ParseRenderedResults → RenderResults — must preserve every byte.
     EXPECT_EQ(response.body, SearchService::RenderResults(
                                  cluster->reference().Search(keywords, 5, 10)));
@@ -320,36 +320,42 @@ TEST(Cluster, StragglerMissesDeadlineAndCoverageDrops) {
                 SearchRouter::MergePartials(std::move(survivors), 10)));
 }
 
-// ---- Shard-node serving surface (/search slice + /shardstats). ----
+// ---- Shard-node serving surface. ----
 
-TEST(Cluster, ShardNodeServesSliceAndTermStats) {
+// Starts one loopback shard-node SearchServer per slice of `shards` over
+// `snapshot`; false when the environment forbids binding a port.
+bool StartShardNodes(
+    const SnapshotPtr& snapshot, int shards,
+    std::vector<std::unique_ptr<SnapshotPublisher>>* publishers,
+    std::vector<std::unique_ptr<SearchServer>>* servers) {
+  for (int shard = 0; shard < shards; ++shard) {
+    publishers->push_back(std::make_unique<SnapshotPublisher>(snapshot));
+    ServeOptions serve;
+    serve.shards = shards;
+    serve.shard_index = shard;
+    serve.num_workers = 2;
+    servers->push_back(
+        std::make_unique<SearchServer>(*publishers->back(), serve));
+    try {
+      servers->back()->Start();
+    } catch (const std::exception&) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Cluster, ShardNodeServesItsSlice) {
   DashEngine engine = MakeEngine();
   const int kShards = 3;
   ShardedEngine reference(engine.snapshot(), kShards);
-
   std::vector<std::unique_ptr<SnapshotPublisher>> publishers;
   std::vector<std::unique_ptr<SearchServer>> servers;
-  for (int shard = 0; shard < kShards; ++shard) {
-    publishers.push_back(
-        std::make_unique<SnapshotPublisher>(engine.snapshot()));
-    ServeOptions serve;
-    serve.shards = kShards;
-    serve.shard_index = shard;
-    serve.num_workers = 2;
-    servers.push_back(
-        std::make_unique<SearchServer>(*publishers.back(), serve));
-    try {
-      servers.back()->Start();
-    } catch (const std::exception&) {
-      GTEST_SKIP() << "no loopback networking in this environment";
-    }
+  if (!StartShardNodes(engine.snapshot(), kShards, &publishers, &servers)) {
+    GTEST_SKIP() << "no loopback networking in this environment";
   }
 
-  // Each node answers exactly its slice's local top-k, and the per-shard
-  // df statistics sum to the global document frequency.
-  util::TermId term = reference.FindTerm("coffee");
-  ASSERT_NE(term, util::kInvalidTermId);
-  std::size_t df_sum = 0;
+  // Each node answers exactly its slice's local top-k.
   for (int shard = 0; shard < kShards; ++shard) {
     auto search = webapp::FetchOverLoopback(servers[shard]->port(),
                                             "/search?q=coffee&k=10&s=0");
@@ -359,29 +365,72 @@ TEST(Cluster, ShardNodeServesSliceAndTermStats) {
               SearchService::RenderResults(reference.SearchShard(
                   static_cast<std::size_t>(shard), {"coffee"}, 10, 0)));
 
+    // A shard node serves no statistics endpoint.
     auto stats = webapp::FetchOverLoopback(servers[shard]->port(),
                                            "/shardstats?q=coffee");
     ASSERT_TRUE(stats.has_value());
-    ASSERT_EQ(stats->status, 200);
-    EXPECT_TRUE(stats->headers.contains("X-Dash-Generation"));
-    std::string line = "T\tcoffee\t" +
-                       std::to_string(reference.ShardDf(
-                           term, static_cast<std::size_t>(shard))) +
-                       "\t" +
-                       std::to_string(reference.ShardMaxOccurrences(
-                           term, static_cast<std::size_t>(shard)));
-    EXPECT_NE(stats->body.find(line), std::string::npos)
-        << "shard " << shard << " stats body:\n"
-        << stats->body;
-    df_sum += reference.ShardDf(term, static_cast<std::size_t>(shard));
+    EXPECT_EQ(stats->status, 404);
   }
-  EXPECT_EQ(df_sum, engine.index().Df("coffee"));
 
-  // /shardstats outside shard-node mode is a client error.
   SnapshotPublisher whole(engine.snapshot());
   SearchService whole_service(whole, ServeOptions{});
   EXPECT_EQ(whole_service.Handle(Get("/shardstats?q=coffee"), Now()).status,
-            400);
+            404);
+}
+
+TEST(Cluster, RoutedQueryCallsEachShardOnce) {
+  DashEngine engine = MakeEngine();
+  const int kShards = 3;
+  ShardedEngine reference(engine.snapshot(), kShards);
+  std::vector<std::unique_ptr<SnapshotPublisher>> publishers;
+  std::vector<std::unique_ptr<SearchServer>> servers;
+  if (!StartShardNodes(engine.snapshot(), kShards, &publishers, &servers)) {
+    GTEST_SKIP() << "no loopback networking in this environment";
+  }
+  std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(
+      kShards);
+  for (int shard = 0; shard < kShards; ++shard) {
+    transports[static_cast<std::size_t>(shard)].push_back(
+        std::make_unique<HttpShardTransport>(servers[shard]->port()));
+  }
+  SearchRouter router(std::move(transports), RouterOptions{});
+  RouterService service(router, RouterOptions{});
+
+  // "bangkok" names one Thai restaurant, so some slice holds no posting
+  // for it while another answers it: a leg whose shard cannot contribute
+  // still costs exactly one /search.
+  const std::vector<std::string> partial_hit = {"bangkok"};
+  int empty_slices = 0;
+  for (int shard = 0; shard < kShards; ++shard) {
+    if (reference.SearchShard(static_cast<std::size_t>(shard), partial_hit,
+                              10, 0)
+            .empty()) {
+      ++empty_slices;
+    }
+  }
+  ASSERT_GT(empty_slices, 0);
+  ASSERT_LT(empty_slices, kShards);
+
+  auto accepted = [&servers] {
+    std::uint64_t total = 0;
+    for (const auto& server : servers) {
+      total += server->transport_stats().accepted;
+    }
+    return total;
+  };
+  std::vector<std::vector<std::string>> queries = Queries();
+  queries.push_back(partial_hit);
+  for (const auto& keywords : queries) {
+    const std::uint64_t before = accepted();
+    webapp::HttpResponse response =
+        service.Handle(Get(Target(keywords, 10, 0)), Now());
+    EXPECT_EQ(accepted() - before, static_cast<std::uint64_t>(kShards))
+        << "query " << keywords.front();
+    ASSERT_EQ(response.status, 200);
+    EXPECT_EQ(response.headers.at("X-Dash-Shards-Answered"), "3/3");
+    EXPECT_EQ(response.body, SearchService::RenderResults(
+                                 reference.Search(keywords, 10, 0)));
+  }
 }
 
 // ---- Wire-format inverse. ----
@@ -456,12 +505,6 @@ class StubTransport : public ShardTransport {
   ShardReply Route(const std::vector<std::string>&, int,
                    std::uint64_t) override {
     ShardReply reply;
-    reply.ok = true;
-    reply.generation = 1;
-    return reply;
-  }
-  ShardStatsReply RouteStats(const std::vector<std::string>&) override {
-    ShardStatsReply reply;
     reply.ok = true;
     reply.generation = 1;
     return reply;
@@ -557,7 +600,6 @@ TEST(RouterService, NodeDeadlinePartialPropagatesAs504) {
   std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(1);
   transports[0].push_back(std::make_unique<HttpShardTransport>(node.port()));
   RouterOptions router_options;
-  router_options.use_shard_stats = false;  // hit /search directly
   SearchRouter router(std::move(transports), router_options);
   RouterService service(router, router_options);
 

@@ -160,11 +160,6 @@ TEST(Tokenizer, Utf8LettersSurvive) {
   EXPECT_EQ(toks[1], "\xE7\x83\xA4\xE8\x82\x89");
 }
 
-TEST(Tokenizer, CountMatchesTokenize) {
-  std::string text = "Unique burger; by Bill on 05/10";
-  EXPECT_EQ(CountTokens(text), Tokenize(text).size());
-}
-
 TEST(TokenCounter, AccumulatesWithMultiplier) {
   TokenCounter counter;
   counter.Add("burger queen");

@@ -6,10 +6,9 @@
 // multi-threaded listener with bounded admission control, per-request
 // deadlines and an optional result cache. With --shards N --shard-index I
 // it becomes a cluster shard node (DESIGN.md §15): /search answers the
-// local top-k of fragment slice I of N only and /shardstats reports the
-// slice's per-term statistics, ready to sit behind a core::SearchRouter.
-// The two flags come together; a sharded layout is served by shard nodes
-// behind a router, never by one process.
+// local top-k of fragment slice I of N only, ready to sit behind a
+// core::SearchRouter. The two flags come together; a sharded layout is
+// served by shard nodes behind a router, never by one process.
 //
 //   dash_serve --port 8080 --workers 4 --queue 64
 //              --cache 256 --deadline-ms 50
@@ -83,8 +82,8 @@ int Usage(const char* argv0) {
       "  --shards N       shards of the cluster layout  (default 0 = whole\n"
       "                   index); needs --shard-index\n"
       "  --shard-index I  serve ONLY shard I of --shards as a cluster\n"
-      "                   shard node (/search = local top-k, /shardstats\n"
-      "                   = slice stats); requires 0 <= I < --shards\n"
+      "                   shard node (/search = local top-k of that\n"
+      "                   slice); requires 0 <= I < --shards\n"
       "  --deadline-ms N  per-request budget, 0 = none  (default 0)\n"
       "  --query 1|2|3    paper application query       (default 1)\n"
       "  --scale S        tiny|small|medium|large       (default tiny)\n"
@@ -171,8 +170,7 @@ int main(int argc, char** argv) {
               options.cache_capacity, options.shards, options.shard_index,
               options.deadline_ms);
   if (options.shard_index >= 0) {
-    std::printf("shard node: /search = shard %d/%d local top-k, "
-                "/shardstats?q=<kw> = slice stats\n",
+    std::printf("shard node: /search = shard %d/%d local top-k\n",
                 options.shard_index, options.shards);
   }
   std::printf("try: /search?q=<keyword>&k=10&s=0   /stats   /healthz\n");
