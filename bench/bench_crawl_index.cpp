@@ -11,6 +11,13 @@
 //               Table II divided by ~1000, so modeled time charges each
 //               byte a thousandfold to recover the paper-scale regime)
 //   shuffle_MB  bytes crossing the (simulated) network
+//   peak_rss_MB the process's resident high-water (VmHWM) during the crawl:
+//               reset by writing 5 to /proc/self/clear_refs before it, so it
+//               counts the datasets already generated plus the crawl's own
+//               growth; 0 where that file cannot be written. Memory freed
+//               by an earlier crawl in the same process hides a later
+//               crawl's growth, so read it from a run filtered to one crawl:
+//                 bench_crawl_index --benchmark_filter='crawl_index/INT/Q2/medium/'
 //   <phase>_s   wall seconds per pipeline phase
 //
 // After the sweep a Figure-10-style table of modeled times is printed.
@@ -39,8 +46,31 @@ mr::CostModel PaperCostModel() {
 struct RunSummary {
   double wall_s = 0;
   double modeled_s = 0;
+  double peak_rss_mb = 0;
   std::vector<std::pair<std::string, double>> phase_modeled_s;
 };
+
+// Resets the process's resident high-water mark (VmHWM) to its current
+// resident size. False where /proc/self/clear_refs cannot be written.
+bool ResetPeakRss() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  const bool written = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && written;
+}
+
+// VmHWM in MB; 0 where /proc/self/status does not report it.
+double PeakRssMb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  long long kb = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr &&
+         std::sscanf(line, "VmHWM: %lld", &kb) != 1) {
+  }
+  std::fclose(f);
+  return static_cast<double>(kb) / 1024.0;
+}
 // (integrated, query, scale) -> summary, filled as benchmarks run.
 std::map<std::tuple<bool, int, int>, RunSummary> g_summaries;
 
@@ -66,19 +96,21 @@ void PrintTableII() {
 void PrintFigure10() {
   std::printf(
       "\nFigure 10 — modeled crawling+indexing elapsed time, seconds "
-      "(paper cost model, data x1000)\n%-8s %-4s %12s %12s %12s %12s | "
+      "(paper cost model, data x1000)\n%-8s %-4s %12s %12s %12s %12s %14s | "
       "phase breakdown\n",
-      "dataset", "Q", "SW", "INT", "saving", "wall SW/INT");
+      "dataset", "Q", "SW", "INT", "saving", "wall SW/INT",
+      "peak MB SW/INT");
   for (tpch::Scale scale : kScales) {
     for (int q : {1, 2, 3}) {
       auto sw = g_summaries.find({false, q, static_cast<int>(scale)});
       auto in = g_summaries.find({true, q, static_cast<int>(scale)});
       if (sw == g_summaries.end() || in == g_summaries.end()) continue;
-      std::printf("%-8s Q%-3d %11.1fs %11.1fs %11.1f%% %6.2f/%.2fs | ",
+      std::printf("%-8s Q%-3d %11.1fs %11.1fs %11.1f%% %6.2f/%.2fs %7.0f/%-6.0f | ",
                   std::string(tpch::ScaleName(scale)).c_str(), q,
                   sw->second.modeled_s, in->second.modeled_s,
                   100.0 * (1.0 - in->second.modeled_s / sw->second.modeled_s),
-                  sw->second.wall_s, in->second.wall_s);
+                  sw->second.wall_s, in->second.wall_s,
+                  sw->second.peak_rss_mb, in->second.peak_rss_mb);
       for (const auto& [name, secs] : sw->second.phase_modeled_s) {
         std::printf("%s=%.1fs ", name.c_str(), secs);
       }
@@ -104,10 +136,12 @@ void BM_CrawlIndex(benchmark::State& state) {
   std::map<std::string, double> phase_wall;
   std::size_t fragments = 0;
   for (auto _ : state) {
+    const bool peak_reset = ResetPeakRss();
     mr::Cluster cluster;
     core::CrawlResult result = integrated
                                    ? core::IntegratedCrawl(cluster, db, psj)
                                    : core::StepwiseCrawl(cluster, db, psj);
+    summary.peak_rss_mb = peak_reset ? PeakRssMb() : 0;
     summary.wall_s = result.TotalWallSec();
     summary.modeled_s = result.ModeledSec(cost);
     summary.phase_modeled_s.clear();
@@ -125,6 +159,7 @@ void BM_CrawlIndex(benchmark::State& state) {
   state.counters["wall_s"] = summary.wall_s;
   state.counters["modeled_s"] = summary.modeled_s;
   state.counters["shuffle_MB"] = shuffle_bytes / n / (1024.0 * 1024.0);
+  state.counters["peak_rss_MB"] = summary.peak_rss_mb;
   state.counters["fragments"] = static_cast<double>(fragments);
   for (const auto& [name, secs] : phase_wall) {
     state.counters[name + "_s"] = secs / n;

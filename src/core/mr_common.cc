@@ -135,7 +135,7 @@ MrTable MrJoin(mr::Cluster& cluster, const std::string& job_name,
   out.schema = db::Schema::Concat(left.schema, right.schema);
   const std::size_t right_width = right.schema.size();
   out.data = cluster.Run(
-      job, input,
+      job, std::move(input),
       [li, ri, outer] { return std::make_unique<JoinMapper>(li, ri, outer); },
       [right_width, outer] {
         return std::make_unique<JoinReducer>(right_width, outer);

@@ -252,7 +252,7 @@ CrawlResult IntegratedCrawl(mr::Cluster& cluster, const db::Database& db,
     MrTable agg;
     agg.schema = std::move(out_schema);
     agg.data = cluster.Run(
-        job, input.data,
+        job, std::move(input.data),
         [&group_idx, &sel_idx] {
           return std::make_unique<AggregateMapper>(group_idx, sel_idx);
         },
@@ -283,7 +283,7 @@ CrawlResult IntegratedCrawl(mr::Cluster& cluster, const db::Database& db,
   // ---- Phase INT-Ext: per relation, join its text against R and emit
   // keyword occurrences replicated by Theta_i.
   mark = cluster.history().size();
-  mr::Dataset partial_postings;
+  std::vector<mr::Dataset> extracted;
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const RelationSpec& spec = specs[s];
     if (spec.proj_cols.empty()) continue;
@@ -313,22 +313,19 @@ CrawlResult IntegratedCrawl(mr::Cluster& cluster, const db::Database& db,
     for (const mr::Record& r : parameter_relation.data) {
       input.push_back({"R", r.value});
     }
-    for (const std::string& line : table.ExportRows()) {
-      input.push_back({"T", line});
+    for (std::string& line : table.ExportRows()) {
+      input.push_back({"T", std::move(line)});
     }
 
     mr::JobConfig job;
     job.name = "INT-extract(" + spec.name + ")";
     job.num_reduce_tasks = options.num_reduce_tasks;
-    mr::Dataset out = cluster.Run(
-        job, input,
+    extracted.push_back(cluster.Run(
+        job, std::move(input),
         [&rspec, &tspec] {
           return std::make_unique<ExtractMapper>(rspec, tspec);
         },
-        [] { return std::make_unique<ExtractReducer>(); });
-    partial_postings.insert(partial_postings.end(),
-                            std::make_move_iterator(out.begin()),
-                            std::make_move_iterator(out.end()));
+        [] { return std::make_unique<ExtractReducer>(); }));
   }
   result.phases.push_back(SnapshotPhase(cluster, mark, "INT-Ext"));
 
@@ -338,7 +335,7 @@ CrawlResult IntegratedCrawl(mr::Cluster& cluster, const db::Database& db,
   job.name = "INT-consolidate";
   job.num_reduce_tasks = options.num_reduce_tasks;
   mr::Dataset inverted = cluster.Run(
-      job, partial_postings,
+      job, mr::ConcatDatasets(std::move(extracted)),
       [] { return std::make_unique<mr::IdentityMapper>(); },
       [] { return std::make_unique<InvertedListReducer>(); },
       [] { return std::make_unique<PostingCombiner>(); });

@@ -105,12 +105,19 @@ CrawlResult StepwiseCrawl(mr::Cluster& cluster, const db::Database& db,
   group_job.name = "SW-group";
   group_job.num_reduce_tasks = options.num_reduce_tasks;
   mr::Dataset grouped = cluster.Run(
-      group_job, joined.data,
+      group_job, std::move(joined.data),
       [&sel_idx, &proj_idx] {
         return std::make_unique<GroupMapper>(sel_idx, proj_idx);
       },
       [] { return std::make_unique<mr::IdentityReducer>(); });
   result.phases.push_back(SnapshotPhase(cluster, mark, "SW-Grp"));
+
+  // Fragments come from the group output so that keyword-less fragments
+  // (all-empty projection text) are still cataloged. Intern them before
+  // SW-Idx consumes the group output.
+  for (const mr::Record& r : grouped) {
+    result.build.catalog.Intern(ParseEncodedRow(sel_schema, r.key));
+  }
 
   // ---- Phase SW-Idx: build the inverted fragment index. ----
   mark = cluster.history().size();
@@ -118,17 +125,13 @@ CrawlResult StepwiseCrawl(mr::Cluster& cluster, const db::Database& db,
   index_job.name = "SW-index";
   index_job.num_reduce_tasks = options.num_reduce_tasks;
   mr::Dataset inverted = cluster.Run(
-      index_job, grouped, [] { return std::make_unique<IndexMapper>(); },
+      index_job, std::move(grouped),
+      [] { return std::make_unique<IndexMapper>(); },
       [] { return std::make_unique<InvertedListReducer>(); },
       [] { return std::make_unique<PostingCombiner>(); });
   result.phases.push_back(SnapshotPhase(cluster, mark, "SW-Idx"));
 
   // ---- Consume MR output into the in-memory index. ----
-  // Fragments come from the group output so that keyword-less fragments
-  // (all-empty projection text) are still cataloged.
-  for (const mr::Record& r : grouped) {
-    result.build.catalog.Intern(ParseEncodedRow(sel_schema, r.key));
-  }
   ConsumeInvertedLists(inverted, sel_schema, &result.build);
   FinalizeBuild(&result.build);
   return result;

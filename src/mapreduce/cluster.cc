@@ -85,7 +85,8 @@ class VectorEmitter : public Emitter {
 };
 
 // Groups a sorted run of records by key and feeds each group to `reducer`.
-void ReducePartition(Dataset&& partition, Reducer& reducer, Emitter& out) {
+// Takes the partition by value so it is freed when the group run ends.
+void ReducePartition(Dataset partition, Reducer& reducer, Emitter& out) {
   // Stable sort by key keeps values in arrival (map-task, emission) order —
   // Hadoop's grouping semantics without secondary sort.
   std::stable_sort(partition.begin(), partition.end(),
@@ -149,7 +150,7 @@ JobMetrics Cluster::Totals() const {
   return SumMetrics(history_);
 }
 
-Dataset Cluster::Run(const JobConfig& job, const Dataset& input,
+Dataset Cluster::Run(const JobConfig& job, Dataset input,
                      const MapperFactory& mapper, const ReducerFactory& reducer,
                      const ReducerFactory& combiner) {
   if (!mapper || !reducer) {
@@ -210,24 +211,27 @@ Dataset Cluster::Run(const JobConfig& job, const Dataset& input,
         part = std::move(combined.records());
       }
     }
+    // Drop the slack that growth by doubling left, so the map output sits
+    // beside the input at its own size until the shuffle moves it.
+    for (Dataset& part : emitter.parts()) part.shrink_to_fit();
     task_parts[static_cast<std::size_t>(t)] = std::move(emitter.parts());
   });
   metrics.map_wall_sec = watch.ElapsedSeconds();
+  // Every map task has read its split. (clear() would keep the capacity.)
+  Dataset().swap(input);
 
   // ---- Shuffle: gather each reduce partition across map tasks. ----
   watch.Restart();
   std::vector<Dataset> partitions(static_cast<std::size_t>(num_reducers));
-  for (auto& parts : task_parts) {
-    for (int p = 0; p < num_reducers; ++p) {
-      Dataset& src = parts[static_cast<std::size_t>(p)];
-      Dataset& dst = partitions[static_cast<std::size_t>(p)];
-      for (Record& r : src) {
-        metrics.map_output_records += 1;
-        metrics.map_output_bytes += r.Bytes();
-        dst.push_back(std::move(r));
-      }
-      src.clear();
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    std::vector<Dataset> runs;
+    runs.reserve(task_parts.size());
+    for (auto& parts : task_parts) {
+      metrics.map_output_records += parts[p].size();
+      metrics.map_output_bytes += DatasetBytes(parts[p]);
+      runs.push_back(std::move(parts[p]));
     }
+    partitions[p] = ConcatDatasets(std::move(runs));
   }
   metrics.shuffle_wall_sec = watch.ElapsedSeconds();
 
@@ -246,14 +250,11 @@ Dataset Cluster::Run(const JobConfig& job, const Dataset& input,
   metrics.reduce_wall_sec = watch.ElapsedSeconds();
 
   metrics.task_retries = retries.load();
-  Dataset result;
-  for (Dataset& out : outputs) {
-    for (Record& r : out) {
-      metrics.reduce_output_records += 1;
-      metrics.reduce_output_bytes += r.Bytes();
-      result.push_back(std::move(r));
-    }
+  for (const Dataset& out : outputs) {
+    metrics.reduce_output_records += out.size();
+    metrics.reduce_output_bytes += DatasetBytes(out);
   }
+  Dataset result = ConcatDatasets(std::move(outputs));
   {
     util::MutexLock lock(mutex_);
     history_.push_back(metrics);

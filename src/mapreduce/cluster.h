@@ -86,8 +86,20 @@ class Cluster {
   // appends this job's metrics to history(). Safe to call from several
   // threads (each job's tasks still fan out over the cluster's own pool);
   // concurrent jobs append to the history in completion order.
+  //
+  // Run consumes `input` (move it in; an lvalue pays for a copy) and frees
+  // each buffer once the next phase holds its records: the input after the
+  // map phase, each map task's partition buffers as the shuffle moves them
+  // into the reduce partitions, each partition when its reduce task ends,
+  // and each reduce task's output as it is gathered into the result. So
+  // the map phase holds the input plus the map tasks' output (trimmed to
+  // size), the shuffle the map output once, the reduce phase its
+  // partitions plus the outputs so far, and the gather the reduce output
+  // once; partitions and result are reserved to their exact sizes. Every
+  // JobMetrics record and byte counter is taken before the buffer it counts
+  // is released, so the counters do not depend on any of this.
   // DASH_BLOCKING: joins every task of the job before returning.
-  Dataset Run(const JobConfig& job, const Dataset& input,
+  Dataset Run(const JobConfig& job, Dataset input,
               const MapperFactory& mapper, const ReducerFactory& reducer,
               const ReducerFactory& combiner = nullptr) DASH_BLOCKING;
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dash::mr {
@@ -28,6 +29,22 @@ inline std::size_t DatasetBytes(const Dataset& data) {
   std::size_t total = 0;
   for (const Record& r : data) total += r.Bytes();
   return total;
+}
+
+// Moves `parts` in order into one Dataset reserved to their total size,
+// freeing each part as soon as its records have moved. The new buffer's
+// pages become resident only as they are written, so concatenating adds
+// at most one part's size to the resident set.
+inline Dataset ConcatDatasets(std::vector<Dataset> parts) {
+  std::size_t records = 0;
+  for (const Dataset& part : parts) records += part.size();
+  Dataset out;
+  out.reserve(records);
+  for (Dataset& part : parts) {
+    for (Record& r : part) out.push_back(std::move(r));
+    Dataset().swap(part);
+  }
+  return out;
 }
 
 }  // namespace dash::mr

@@ -212,6 +212,84 @@ TEST(CrawlPhases, IntegratedReportsThreePhases) {
   EXPECT_EQ(result.phases[1].metrics.jobs, 3u);
 }
 
+// Every job's record and byte counters, pinned. They are Figure 10's
+// currency: a change that moves one shuffle byte shifts the modeled seconds
+// of bench_crawl_index's Q2/small row (150.6 s SW, 155.8 s INT), even when
+// the index it builds is unchanged.
+struct JobCounters {
+  const char* job_name;
+  std::uint64_t map_tasks;
+  std::uint64_t reduce_tasks;
+  std::uint64_t map_input_records;
+  std::uint64_t map_input_bytes;
+  std::uint64_t map_output_records;
+  std::uint64_t map_output_bytes;
+  std::uint64_t reduce_output_records;
+  std::uint64_t reduce_output_bytes;
+};
+
+void ExpectJobCounters(const mr::Cluster& cluster,
+                       const std::vector<JobCounters>& expected) {
+  std::vector<mr::JobMetrics> history = cluster.history();
+  ASSERT_EQ(history.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const mr::JobMetrics& got = history[i];
+    const JobCounters& want = expected[i];
+    SCOPED_TRACE(want.job_name);
+    EXPECT_EQ(got.job_name, want.job_name);
+    EXPECT_EQ(got.map_tasks, want.map_tasks);
+    EXPECT_EQ(got.reduce_tasks, want.reduce_tasks);
+    EXPECT_EQ(got.map_input_records, want.map_input_records);
+    EXPECT_EQ(got.map_input_bytes, want.map_input_bytes);
+    EXPECT_EQ(got.map_output_records, want.map_output_records);
+    EXPECT_EQ(got.map_output_bytes, want.map_output_bytes);
+    EXPECT_EQ(got.reduce_output_records, want.reduce_output_records);
+    EXPECT_EQ(got.reduce_output_bytes, want.reduce_output_bytes);
+  }
+}
+
+TEST(CrawlPhases, JobCountersMatchTheParent) {
+  db::Database db = tpch::Generate(tpch::Scale::kSmall);
+  sql::PsjQuery query = sql::Parse(kQ2.sql);
+
+  mr::Cluster sw_cluster;
+  StepwiseCrawl(sw_cluster, db, query);
+  ExpectJobCounters(
+      sw_cluster,
+      {
+          {"SW-join(customer.cid=orders.cid)", 1, 4, 2165, 294028, 2165,
+           301484, 1965, 563817},
+          {"SW-join(orders.oid=lineitem.oid)", 2, 4, 9841, 1517774, 9841,
+           1561378, 7876, 3210308},
+          {"SW-group", 4, 4, 7876, 3210308, 7876, 3251768, 7876, 3251768},
+          {"SW-index", 4, 4, 7876, 3251768, 283338, 4289744, 25288, 2774889},
+      });
+
+  mr::Cluster int_cluster;
+  IntegratedCrawl(int_cluster, db, query);
+  ExpectJobCounters(
+      int_cluster,
+      {
+          {"INT-aggregate(customer)", 1, 4, 200, 30871, 200, 690, 200, 890},
+          {"INT-aggregate(orders)", 1, 4, 1965, 260992, 1965, 15481, 1965,
+           17446},
+          {"INT-aggregate(lineitem)", 1, 4, 7876, 944116, 7581, 54992, 7581,
+           62573},
+          {"INT-join(customer.cid=orders.cid)", 1, 4, 2165, 20501, 2165, 27957,
+           1965, 28142},
+          {"INT-join(orders.oid=lineitem.oid)", 1, 4, 9546, 100261, 9546,
+           142553, 7581, 178606},
+          {"INT-extract(customer)", 1, 4, 7781, 217258, 7781, 128051, 85322,
+           1326903},
+          {"INT-extract(orders)", 1, 4, 9546, 449144, 9546, 408305, 123241,
+           1842026},
+          {"INT-extract(lineitem)", 2, 4, 15457, 1138179, 15457, 1134348,
+           123419, 1793415},
+          {"INT-consolidate", 5, 4, 331982, 4962344, 322728, 4839356, 25288,
+           2774889},
+      });
+}
+
 // The paper's efficiency claim in miniature: the integrated algorithm
 // shuffles fewer bytes than the stepwise one once operands carry text
 // (Q2 joins the text-heavy orders/lineitem relations).
